@@ -22,27 +22,18 @@ integer arrays.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import statistics
 import sys
 import time
 
 from .arith import divisors, generalized_gcd, jordan_totient
-from .congruence import (
-    CongruenceInstance,
-    class_members,
-    count_restricted,
-)
+from .congruence import CongruenceInstance, class_members, count_restricted
 from .errors import BudgetExceededError, DomainError
-from .oracle import (
-    DEFAULT_TUPLE_BUDGET,
-    DEFAULT_VECTOR_BUDGET,
-    brute_force_count,
-    convolution_count,
-    enumerate_solutions,
-)
+from .oracle import _matching_tuples, brute_force_count, convolution_count
 from .ramanujan import cohen_ramanujan
-from .verification import DEFAULT_INSTANCE_CAP, SweepConfig, engine_sweep, identity_suites
+from .verification import SweepConfig, engine_sweep, identity_suites
 
 ENGINES = ("formula", "brute", "convolution")
 
@@ -62,16 +53,6 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _record(command: str, params: dict, result: dict, engine: str | None, t0: float) -> dict:
-    return {
-        "command": command,
-        "params": params,
-        "engine": engine,
-        "result": result,
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-    }
-
-
 def _parse_int_list(text: str, flag: str) -> list[int]:
     if text is None or text == "" or text == "-":
         return []
@@ -81,144 +62,110 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise _UsageError(f"{flag} expects a comma-separated list of integers, got {text!r}")
 
 
-def _resolve_restrictions(n: int, t_text: str | None, g_text: str | None) -> tuple[int, ...]:
-    if g_text is not None:
-        g = _parse_int_list(g_text, "--g")
-        divs = divisors(n)
+def _budget(args, keyword: str = "budget") -> dict:
+    """--budget as keyword arguments for an engine; empty when not given."""
+    if args.budget is None:
+        return {}
+    if args.budget < 0:
+        raise _UsageError(f"--budget must be >= 0, got {args.budget}")
+    return {keyword: args.budget}
+
+
+def _instance(args) -> tuple[CongruenceInstance, dict, str]:
+    """The instance named by --n --s --b and --t or --g, its params and text header."""
+    if args.g is not None:
+        g = _parse_int_list(args.g, "--g")
+        divs = divisors(args.n)
         if len(g) != len(divs):
             raise DomainError(
-                f"--g needs one entry per divisor of n={n} "
+                f"--g needs one entry per divisor of n={args.n} "
                 f"({len(divs)} entries for divisors {','.join(map(str, divs))}), got {len(g)}"
             )
         if any(x < 0 for x in g):
             raise DomainError("--g entries must be nonnegative")
-        return tuple(d for d, gj in zip(divs, g) for _ in range(gj))
-    return tuple(_parse_int_list(t_text, "--t"))
+        restrictions = tuple(d for d, gj in zip(divs, g) for _ in range(gj))
+    else:
+        restrictions = tuple(_parse_int_list(args.t, "--t"))
+    inst = CongruenceInstance(n=args.n, s=args.s, b=args.b, restrictions=restrictions)
+    params = {
+        "n": args.n,
+        "s": args.s,
+        "b": args.b,
+        "t": list(restrictions),
+        "modulus": inst.modulus,
+    }
+    header = f"n={args.n} s={args.s} b={args.b} t={_t_display(restrictions)} modulus={inst.modulus}"
+    return inst, params, header
 
 
 def _t_display(restrictions: tuple[int, ...]) -> str:
     return ",".join(map(str, restrictions)) if restrictions else "-"
 
 
-def _run_engine(engine: str, instance: CongruenceInstance, budget: int | None) -> int:
-    if engine == "formula":
-        return count_restricted(instance)
-    if engine == "brute":
-        return brute_force_count(instance, budget=budget or DEFAULT_TUPLE_BUDGET)
-    if engine == "convolution":
-        return convolution_count(instance, budget=budget or DEFAULT_VECTOR_BUDGET)
-    raise _UsageError(f"unknown engine {engine!r}")
+# What every cmd_* returns: params, result and the text lines.  main prints
+# the lines, or with --format json one record built from params and result.
+_Reply = tuple[dict, dict, list[str]]
 
 
-def cmd_count(args) -> int:
-    t0 = time.perf_counter()
-    restrictions = _resolve_restrictions(args.n, args.t, args.g)
-    inst = CongruenceInstance(n=args.n, s=args.s, b=args.b, restrictions=restrictions)
-    value = _run_engine(args.engine, inst, args.budget)
-    params = {
-        "n": args.n,
-        "s": args.s,
-        "b": args.b,
-        "t": list(restrictions),
-        "modulus": inst.modulus,
-    }
-    rec = _record("count", params, {"count": str(value)}, args.engine, t0)
-    if args.format == "json":
-        print(canonical_json(rec))
+def cmd_count(args) -> _Reply:
+    inst, params, header = _instance(args)
+    budget = _budget(args)
+    if args.engine == "formula":
+        value = count_restricted(inst)  # the closed form enumerates nothing
+    elif args.engine == "brute":
+        value = brute_force_count(inst, **budget)
     else:
-        print(
-            f"n={args.n} s={args.s} b={args.b} t={_t_display(restrictions)} "
-            f"modulus={inst.modulus} engine={args.engine}"
-        )
-        print(f"count = {value}")
-    return 0
+        value = convolution_count(inst, **budget)
+    return params, {"count": str(value)}, [f"{header} engine={args.engine}", f"count = {value}"]
 
 
-def cmd_ramanujan(args) -> int:
-    t0 = time.perf_counter()
+def cmd_ramanujan(args) -> _Reply:
     value = cohen_ramanujan(args.r, args.s, args.m)
     params = {"r": args.r, "s": args.s, "m": args.m}
-    rec = _record("ramanujan", params, {"value": str(value)}, None, t0)
-    if args.format == "json":
-        print(canonical_json(rec))
-    else:
-        print(f"c_{{{args.r},{args.s}}}({args.m}) = {value}")
-    return 0
+    return params, {"value": str(value)}, [f"c_{{{args.r},{args.s}}}({args.m}) = {value}"]
 
 
-def cmd_ggcd(args) -> int:
-    t0 = time.perf_counter()
+def cmd_ggcd(args) -> _Reply:
     g = generalized_gcd(args.a, args.b, args.s)
     params = {"a": args.a, "b": args.b, "s": args.s}
     result = {"value": str(g.value), "base": str(g.base), "power": g.power}
-    rec = _record("ggcd", params, result, None, t0)
-    if args.format == "json":
-        print(canonical_json(rec))
-    else:
-        print(f"({args.a}, {args.b})_{args.s} = {g.value}")
-        print(f"base l = {g.base}")
-    return 0
+    return params, result, [f"({args.a}, {args.b})_{args.s} = {g.value}", f"base l = {g.base}"]
 
 
-def cmd_classes(args) -> int:
-    t0 = time.perf_counter()
+def cmd_classes(args) -> _Reply:
     if args.n < 1 or args.s < 1:
         raise DomainError(f"classes requires n, s >= 1, got n={args.n} s={args.s}")
     modulus = args.n**args.s
     rows = []
+    lines = [f"n={args.n} s={args.s} modulus={modulus}"]
     for d in divisors(args.n):
         row: dict = {"d": d, "size": str(jordan_totient(args.n // d, args.s))}
+        line = f"d={d} size={row['size']}"
         if args.elements:
-            budget = args.budget or 10**6
-            row["members"] = class_members(args.n, args.s, d, budget=budget)
+            row["members"] = class_members(args.n, args.s, d, **_budget(args))
+            line += " members=" + ",".join(map(str, row["members"]))
         rows.append(row)
+        lines.append(line)
+    lines.append(f"total = {modulus}")
     params = {"n": args.n, "s": args.s, "modulus": modulus, "elements": bool(args.elements)}
-    rec = _record("classes", params, {"rows": rows, "total": str(modulus)}, None, t0)
-    if args.format == "json":
-        print(canonical_json(rec))
-    else:
-        print(f"n={args.n} s={args.s} modulus={modulus}")
-        for row in rows:
-            line = f"d={row['d']} size={row['size']}"
-            if args.elements:
-                line += " members=" + ",".join(map(str, row["members"]))
-            print(line)
-        print(f"total = {modulus}")
-    return 0
+    return params, {"rows": rows, "total": str(modulus)}, lines
 
 
-def cmd_solve(args) -> int:
-    t0 = time.perf_counter()
-    restrictions = _resolve_restrictions(args.n, args.t, args.g)
-    inst = CongruenceInstance(n=args.n, s=args.s, b=args.b, restrictions=restrictions)
-    budget = args.budget or DEFAULT_TUPLE_BUDGET
-    solutions = enumerate_solutions(inst, limit=args.limit, budget=budget)
-    total = brute_force_count(inst, budget=budget)
-    params = {
-        "n": args.n,
-        "s": args.s,
-        "b": args.b,
-        "t": list(restrictions),
-        "modulus": inst.modulus,
-        "limit": args.limit,
-    }
+def cmd_solve(args) -> _Reply:
+    inst, params, header = _instance(args)
+    if args.limit < 1:
+        raise DomainError(f"limit must be >= 1, got {args.limit}")
+    # One walk: keep the first --limit solutions, count the rest.
+    walk = _matching_tuples(inst, **_budget(args))
+    solutions = list(itertools.islice(walk, args.limit))
+    total = len(solutions) + sum(1 for _ in walk)
+    params["limit"] = args.limit
     result = {"solutions": [list(sol) for sol in solutions], "count": str(total)}
-    rec = _record("solve", params, result, None, t0)
-    if args.format == "json":
-        print(canonical_json(rec))
-    else:
-        print(
-            f"n={args.n} s={args.s} b={args.b} t={_t_display(restrictions)} "
-            f"modulus={inst.modulus}"
-        )
-        for sol in solutions:
-            print(",".join(map(str, sol)) if sol else "()")
-        print(f"count = {total}")
-    return 0
+    lines = [header] + [",".join(map(str, sol)) if sol else "()" for sol in solutions]
+    return params, result, lines + [f"count = {total}"]
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_verify(args) -> _Reply:
     s_values = tuple(_parse_int_list(args.s, "--s"))
     if not s_values:
         raise _UsageError("--s expects at least one power, e.g. --s 1,2")
@@ -227,7 +174,7 @@ def cmd_verify(args) -> int:
         s_values=s_values,
         max_k=args.max_k,
         seed=args.seed,
-        cap=args.budget or DEFAULT_INSTANCE_CAP,
+        **_budget(args, "cap"),
     )
     sweep = engine_sweep(cfg)
     props = identity_suites()
@@ -248,32 +195,27 @@ def cmd_verify(args) -> int:
         "identity_checks": props.checks,
         "identity_failures": props.failures,
     }
-    rec = _record("verify", params, result, None, t0)
-    if args.format == "json":
-        print(canonical_json(rec))
-    else:
-        mode = "subsampled" if sweep.subsampled else "exhaustive"
-        print(
-            f"engine sweep: {sweep.checked} instances checked "
-            f"(space {sweep.space}, {mode}), {len(sweep.mismatches)} mismatches"
+    mode = "subsampled" if sweep.subsampled else "exhaustive"
+    lines = [
+        f"engine sweep: {sweep.checked} instances checked "
+        f"(space {sweep.space}, {mode}), {len(sweep.mismatches)} mismatches",
+        f"identity suites: {props.checks} checks, {len(props.failures)} failures",
+    ]
+    for miss in sweep.mismatches[:10]:
+        lines.append(
+            f"MISMATCH n={miss['n']} s={miss['s']} b={miss['b']} "
+            f"t={_t_display(tuple(miss['t']))} formula={miss['formula']} "
+            f"brute={miss['brute_force']} convolution={miss['convolution']}"
         )
-        print(f"identity suites: {props.checks} checks, {len(props.failures)} failures")
-        for miss in sweep.mismatches[:10]:
-            print(
-                f"MISMATCH n={miss['n']} s={miss['s']} b={miss['b']} "
-                f"t={_t_display(tuple(miss['t']))} formula={miss['formula']} "
-                f"brute={miss['brute_force']} convolution={miss['convolution']}"
-            )
-        for failure in props.failures[:10]:
-            print(f"FAILURE {failure}")
-        if sweep.mismatches:
-            first = sweep.mismatches[0]
-            print(
-                f"reproduce: rescong count --n {first['n']} --s {first['s']} "
-                f"--b {first['b']} --t {_t_display(tuple(first['t']))} --engine brute"
-            )
-        print("ok" if ok else "MISMATCH DETECTED")
-    return 0 if ok else 2
+    lines += [f"FAILURE {failure}" for failure in props.failures[:10]]
+    if sweep.mismatches:
+        first = sweep.mismatches[0]
+        lines.append(
+            f"reproduce: rescong count --n {first['n']} --s {first['s']} "
+            f"--b {first['b']} --t {_t_display(tuple(first['t']))} --engine brute"
+        )
+    lines.append("ok" if ok else "MISMATCH DETECTED")
+    return params, result, lines
 
 
 def _median_timing(fn, reps: int):
@@ -290,55 +232,46 @@ def _median_timing(fn, reps: int):
     return value, statistics.median(times)
 
 
-def cmd_bench(args) -> int:
-    t0 = time.perf_counter()
+def cmd_bench(args) -> _Reply:
     ns = _parse_int_list(args.n, "--n")
     ss = _parse_int_list(args.s, "--s")
     ks = _parse_int_list(args.k, "--k")
     if not ns or not ss or not ks:
         raise _UsageError("bench needs nonempty --n, --s and --k lists")
-    reps = args.reps
+    if args.reps < 1:
+        raise _UsageError(f"--reps must be >= 1, got {args.reps}")
+    budget = _budget(args)
     rows = []
+    lines = ["n,s,k,count,formula_ms,convolution_ms,brute_ms"]
     for n in ns:
         for s in ss:
             for k in ks:
                 inst = CongruenceInstance(n=n, s=s, b=0, restrictions=(1,) * k)
-                count, formula_ms = _median_timing(lambda: count_restricted(inst), reps)
-                _, conv_ms = _median_timing(
-                    lambda: convolution_count(inst, budget=args.budget or DEFAULT_VECTOR_BUDGET),
-                    reps,
-                )
-                _, brute_ms = _median_timing(
-                    lambda: brute_force_count(inst, budget=args.budget or DEFAULT_TUPLE_BUDGET),
-                    reps,
-                )
-                rows.append(
-                    {
-                        "n": n,
-                        "s": s,
-                        "k": k,
-                        "count": str(count),
-                        "formula_ms": formula_ms,
-                        "convolution_ms": conv_ms,
-                        "brute_ms": brute_ms,
-                    }
-                )
-    params = {"n": ns, "s": ss, "k": ks, "reps": reps}
-    rec = _record("bench", params, {"rows": rows}, None, t0)
-    if args.format == "json":
-        print(canonical_json(rec))
-    else:
-        print("n,s,k,count,formula_ms,convolution_ms,brute_ms")
-        for row in rows:
-            cells = [str(row["n"]), str(row["s"]), str(row["k"]), row["count"]]
-            for key in ("formula_ms", "convolution_ms", "brute_ms"):
-                cells.append("" if row[key] is None else f"{row[key]:.3f}")
-            print(",".join(cells))
-    return 0
+                count, formula_ms = _median_timing(lambda: count_restricted(inst), args.reps)
+                _, conv_ms = _median_timing(lambda: convolution_count(inst, **budget), args.reps)
+                _, brute_ms = _median_timing(lambda: brute_force_count(inst, **budget), args.reps)
+                timings = {
+                    "formula_ms": formula_ms, "convolution_ms": conv_ms, "brute_ms": brute_ms
+                }
+                rows.append({"n": n, "s": s, "k": k, "count": str(count), **timings})
+                cells = [str(n), str(s), str(k), str(count)]
+                cells += ["" if ms is None else f"{ms:.3f}" for ms in timings.values()]
+                lines.append(",".join(cells))
+    params = {"n": ns, "s": ss, "k": ks, "reps": args.reps}
+    return params, {"rows": rows}, lines
 
 
 def _add_format_flag(sub) -> None:
     sub.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _add_instance_flags(sub) -> None:
+    sub.add_argument("--n", type=int, required=True, help="modulus base")
+    sub.add_argument("--s", type=int, required=True, help="modulus power (congruence mod n**s)")
+    sub.add_argument("--b", type=int, required=True, help="target residue")
+    group = sub.add_mutually_exclusive_group()
+    group.add_argument("--t", help="comma list of base divisors t_i, one per unknown")
+    group.add_argument("--g", help="comma list of per-divisor multiplicities g_j")
 
 
 def build_parser() -> _Parser:
@@ -346,14 +279,9 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="subcommand")
 
     p = subs.add_parser("count", help="solution count for one restricted congruence")
-    p.add_argument("--n", type=int, required=True, help="modulus base")
-    p.add_argument("--s", type=int, required=True, help="modulus power (congruence mod n**s)")
-    p.add_argument("--b", type=int, required=True, help="target residue")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--t", help="comma list of base divisors t_i, one per unknown")
-    group.add_argument("--g", help="comma list of per-divisor multiplicities g_j")
+    _add_instance_flags(p)
     p.add_argument("--engine", choices=ENGINES, default="formula")
-    p.add_argument("--budget", type=int, help="override the chosen engine's budget")
+    p.add_argument("--budget", type=int, help="override the brute or convolution engine's budget")
     _add_format_flag(p)
     p.set_defaults(handler=cmd_count)
 
@@ -380,12 +308,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=cmd_classes)
 
     p = subs.add_parser("solve", help="list explicit solutions, lexicographically")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--t", help="comma list of base divisors t_i")
-    group.add_argument("--g", help="comma list of per-divisor multiplicities g_j")
+    _add_instance_flags(p)
     p.add_argument("--limit", type=int, default=1000)
     p.add_argument("--budget", type=int, help="tuple enumeration budget")
     _add_format_flag(p)
@@ -414,22 +337,36 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    digit_cap = sys.get_int_max_str_digits()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    if not hasattr(args, "handler"):
-        parser.print_help()
-        return 1
-    try:
-        return args.handler(args)
+        if not hasattr(args, "handler"):
+            parser.print_help()
+            return 1
+        # Counts can run past the interpreter's 4300-digit cap on int -> str.
+        sys.set_int_max_str_digits(0)
+        t0 = time.perf_counter()
+        params, result, lines = args.handler(args)
+        if args.format == "json":
+            record = {
+                "command": args.subcommand,
+                "params": params,
+                "engine": getattr(args, "engine", None),
+                "result": result,
+                "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
+            }
+            lines = [canonical_json(record)]
+        print("\n".join(lines))
+        # Only verify reports "ok"; false there is a verification mismatch.
+        return 0 if result.get("ok", True) else 2
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (DomainError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(digit_cap)
 
 
 def entrypoint() -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from .arith import jordan_totient
 from .congruence import CongruenceInstance, class_members
 from .errors import BudgetExceededError, ConsistencyError, DomainError
 from .ramanujan import _pairwise_sum
@@ -20,22 +21,38 @@ DEFAULT_TUPLE_BUDGET = 10**7
 DEFAULT_VECTOR_BUDGET = 10**5
 
 
-def brute_force_count(instance: CongruenceInstance, budget: int = DEFAULT_TUPLE_BUDGET) -> int:
-    """Ground truth: walk every admissible tuple and count the hits."""
-    member_lists = [
-        class_members(instance.n, instance.s, t) for t in instance.restrictions
-    ]
-    total_tuples = math.prod(len(ms) for ms in member_lists)
-    if total_tuples > budget:
-        raise BudgetExceededError(
-            f"{total_tuples} tuples exceed the enumeration budget {budget}; "
-            "use convolution_count instead"
-        )
+def _matching_tuples(instance: CongruenceInstance, budget: int = DEFAULT_TUPLE_BUDGET):
+    """Iterator over the admissible tuples that solve `instance`, lexicographically.
+
+    The tuple space, the product of the class sizes J_s(n / t_i), is
+    checked against `budget` before any class is enumerated.  Class
+    member lists are ascending, so the odometer order of
+    itertools.product is exactly lexicographic order on the tuples.
+    """
+    n, s, ts = instance.n, instance.s, instance.restrictions
+    # (n / t)**s bounds the class size J_s(n / t) from above.  The exact
+    # sizes cost a factorization each, so they are only taken when the
+    # bound passes the budget, and only until their product does.
+    if math.prod((n // t) ** s for t in ts) > budget:
+        total_tuples = 1
+        for t in ts:
+            if total_tuples > budget:
+                break
+            total_tuples *= jordan_totient(n // t, s)
+        if total_tuples > budget:
+            raise BudgetExceededError(
+                f"the tuple space holds at least {total_tuples} tuples, past the "
+                f"enumeration budget {budget}; use convolution_count instead"
+            )
+    member_lists = [class_members(n, s, t) for t in ts]
     modulus = instance.modulus
     target = instance.b
-    return sum(
-        1 for combo in itertools.product(*member_lists) if sum(combo) % modulus == target
-    )
+    return (combo for combo in itertools.product(*member_lists) if sum(combo) % modulus == target)
+
+
+def brute_force_count(instance: CongruenceInstance, budget: int = DEFAULT_TUPLE_BUDGET) -> int:
+    """Ground truth: walk every admissible tuple and count the hits."""
+    return sum(1 for _ in _matching_tuples(instance, budget))
 
 
 def convolution_count(instance: CongruenceInstance, budget: int = DEFAULT_VECTOR_BUDGET) -> int:
@@ -85,27 +102,7 @@ def class_character_sum(n: int, s: int, d: int, m: int, budget: int = 10**6) -> 
 def enumerate_solutions(
     instance: CongruenceInstance, limit: int, budget: int = DEFAULT_TUPLE_BUDGET
 ) -> list[tuple[int, ...]]:
-    """Lexicographically first solutions, at most `limit` of them.
-
-    Class member lists are ascending, so the odometer order of
-    itertools.product is exactly lexicographic order on the tuples.
-    """
+    """Lexicographically first solutions, at most `limit` of them."""
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
-    member_lists = [
-        class_members(instance.n, instance.s, t) for t in instance.restrictions
-    ]
-    total_tuples = math.prod(len(ms) for ms in member_lists)
-    if total_tuples > budget:
-        raise BudgetExceededError(
-            f"{total_tuples} tuples exceed the enumeration budget {budget}"
-        )
-    modulus = instance.modulus
-    target = instance.b
-    out: list[tuple[int, ...]] = []
-    for combo in itertools.product(*member_lists):
-        if sum(combo) % modulus == target:
-            out.append(combo)
-            if len(out) >= limit:
-                break
-    return out
+    return list(itertools.islice(_matching_tuples(instance, budget), limit))

@@ -1,11 +1,17 @@
+import decimal
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rescong import congruence
+from rescong.arith import divisors
 from rescong.cli import canonical_json, main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -70,6 +76,38 @@ class TestCount:
         code, _, err = run_cli(capsys, "count", "--n", "4", "--s", "2", "--b", "5", "--t", "3")
         assert code == 1
         assert "t_1" in err
+
+    def test_zero_budget_means_zero(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "count", "--n", "4", "--s", "2", "--b", "5", "--t", "1,2",
+            "--engine", "brute", "--budget", "0",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "budget 0" in err
+
+    def test_count_past_int_str_digit_cap(self, capsys):
+        # 1000 unknowns in the coprime class of 5040**2: the count has
+        # over 7000 digits, past the interpreter's 4300-digit str() cap.
+        cap = sys.get_int_max_str_digits()
+        g = ",".join(["1000"] + ["0"] * 59)
+        argv = ["count", "--n", "5040", "--s", "2", "--b", "0", "--g", g]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        text = out.splitlines()[-1].removeprefix("count = ")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["result"]["count"] == text
+        expected = congruence.count_restricted(
+            congruence.CongruenceInstance(5040, 2, 0, (1,) * 1000)
+        )
+        assert len(text) > 4300
+        assert decimal.Decimal(text) == decimal.Decimal(expected)
+        # solve walks tuples, so the same instance stops at its budget.
+        code, _, err = run_cli(capsys, "solve", *argv[1:])
+        assert code == 1 and err.startswith("error:") and "budget" in err
+        assert sys.get_int_max_str_digits() == cap
 
 
 class TestJsonContract:
@@ -186,6 +224,13 @@ class TestSolve:
         assert rec["result"]["solutions"] == [[1, 2], [2, 1]]
         assert rec["result"]["count"] == "2"
 
+    def test_limit_one_still_counts_all(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "solve", "--n", "4", "--s", "2", "--b", "5", "--t", "1,2", "--limit", "1"
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == ["1,4", "count = 3"]
+
 
 class TestVerify:
     def test_tiny_sweep_clean(self, capsys):
@@ -213,6 +258,13 @@ class TestVerify:
         assert code == 2
         assert "MISMATCH" in out
         assert "reproduce: rescong count" in out
+
+    def test_zero_budget_checks_no_instances(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--budget", "0", "--format", "json")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["params"]["cap"] == 0
+        assert rec["result"]["instances_checked"] == 0
 
 
 class TestBench:
@@ -247,6 +299,15 @@ class TestBench:
             {k: r[k] for k in keys} for r in rows_b
         ]
 
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_nonpositive_reps_is_usage_error(self, capsys, reps):
+        code, out, err = run_cli(
+            capsys, "bench", "--n", "4", "--s", "1", "--k", "2", "--reps", reps
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:") and "--reps" in err
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_one(self, capsys):
@@ -268,6 +329,79 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "count", "--n", "4", "--s", "2", "--b", "5", "--g", "1,1")
         assert code == 1
         assert "divisor" in err
+
+
+@st.composite
+def cli_argvs(draw):
+    """argv for count/solve/classes/ramanujan/ggcd/bench.
+
+    Most values are in range; now and then one is out of range, a list
+    is malformed or a stray token is appended.  Values stay small enough
+    that no draw can enumerate a large class or tuple space: n <= 10**4,
+    s <= 6, k <= 4, --g entries <= 4, budgets <= 10**4 and --reps <= 2.
+    The commands that enumerate always get a budget and small moduli.
+    """
+
+    def low(valid=1):
+        return valid - 3 if draw(st.integers(0, 5)) == 0 else valid
+
+    def int_list(elements, max_size=4):
+        if draw(st.integers(0, 9)) == 0:
+            return draw(st.sampled_from(["", "-", "x", "1,,2", "1,x", " 3"]))
+        return ",".join(map(str, draw(st.lists(elements, min_size=1, max_size=max_size))))
+
+    command = draw(st.sampled_from(["count", "solve", "classes", "ramanujan", "ggcd", "bench"]))
+    engine = draw(st.sampled_from([None, "formula", "brute", "convolution"]))
+    enumerates = command in ("solve", "bench") or (
+        command == "count" and engine in ("brute", "convolution")
+    )
+    elements = command == "classes" and draw(st.booleans())
+    n = draw(st.integers(low(), 30 if enumerates else 10**4))
+    s = draw(st.integers(low(), 2 if enumerates else 6))
+    budget = None
+    if enumerates or elements:
+        budget = draw(st.integers(low(0), 200 if engine == "convolution" else 10**4))
+    argv = [command]
+    if command in ("count", "solve"):
+        argv += ["--n", str(n), "--s", str(s), "--b", str(draw(st.integers(-50, 10**6)))]
+        divs = divisors(n) if n >= 1 else [1]
+        if draw(st.booleans()):
+            argv += ["--t", int_list(st.sampled_from(divs) | st.integers(low(), n + 1))]
+        elif draw(st.booleans()):
+            width = draw(st.sampled_from([len(divs)] * 3 + [len(divs) + 1]))
+            argv += ["--g", int_list(st.integers(low(0), 4), max_size=width)]
+        if command == "count" and engine is not None:
+            argv += ["--engine", engine]
+        if command == "solve" and draw(st.booleans()):
+            argv += ["--limit", str(draw(st.integers(low(), 5)))]
+    elif command == "classes":
+        argv += ["--n", str(n), "--s", str(s)] + (["--elements"] if elements else [])
+    elif command == "ramanujan":
+        argv += ["--r", str(n), "--s", str(s), "--m", str(draw(st.integers(-10**6, 10**6)))]
+    elif command == "ggcd":
+        a, b = draw(st.integers(-10**6, 10**6)), draw(st.integers(-10**6, 10**6))
+        argv += ["--a", str(a), "--b", str(b), "--s", str(s)]
+    else:
+        argv += ["--n", int_list(st.integers(low(), 12), max_size=2)]
+        argv += ["--s", int_list(st.integers(low(), 2), max_size=2)]
+        argv += ["--k", int_list(st.integers(low(0), 4), max_size=2)]
+        argv += ["--reps", str(draw(st.integers(low(), 2)))]
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    argv += draw(st.sampled_from([[], ["--format", "json"], ["--format", "text"]]))
+    if draw(st.integers(0, 9)) == 0:
+        argv += draw(st.lists(st.sampled_from(["--bogus", "7", "--n", "--t", "x"]), max_size=2))
+    return argv
+
+
+@given(cli_argvs())
+@settings(max_examples=300, deadline=None)
+def test_any_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_module_entry_point_subprocess():
