@@ -38,8 +38,6 @@ from .oracle import (
     enumerate_solutions,
 )
 from .ramanujan import (
-    RamanujanCache,
-    RamanujanKey,
     cohen_ramanujan,
     cohen_ramanujan_direct,
     ramanujan_classic,
@@ -74,8 +72,6 @@ __all__ = [
     "class_character_sum",
     "convolution_count",
     "enumerate_solutions",
-    "RamanujanCache",
-    "RamanujanKey",
     "cohen_ramanujan",
     "cohen_ramanujan_direct",
     "ramanujan_classic",

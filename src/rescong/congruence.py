@@ -24,6 +24,7 @@ Ramanujan-sum form) are included for cross-validation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from functools import lru_cache
 
 from .arith import divisors, euler_phi, factorize
 from .errors import BudgetExceededError, ConsistencyError, DomainError
-from .ramanujan import cohen_ramanujan, ramanujan_classic
+from .ramanujan import _capped_valuation, _prime_power_sum, ramanujan_classic
 
 # Ceiling on n**s for explicit class enumeration.
 DEFAULT_CLASS_BUDGET = 10**6
@@ -127,20 +128,39 @@ def class_members(n: int, s: int, d: int, budget: int = DEFAULT_CLASS_BUDGET) ->
 
 
 def fourier_numerator(instance: CongruenceInstance) -> int:
-    """Pre-division sum of the counting formula; always a multiple of n**s."""
-    profile = class_profile(instance)
+    """Pre-division sum of the counting formula; always a multiple of n**s.
+
+    n is factored once.  Each divisor d of n is its exponent vector, and
+    every Ramanujan value is a product of prime-power sums read off
+    exponents: at p**e || n the argument b enters through
+    min(v_p(b) // s, e), and n**s / d**s through e - v_p(d).
+    """
     n, s = instance.n, instance.s
-    modulus = instance.modulus
+    primes = factorize(n).factors
+
+    def ramanujan_at(exponents, levels) -> int:
+        # c_{r,s}(m) for r = prod(p**a_p), given level_p = min(v_p(m) // s, e_p)
+        value = 1
+        for (p, _), a, level in zip(primes, exponents, levels):
+            if a:
+                value *= _prime_power_sum(p, a, s, min(level, a))
+        return value
+
+    b_levels = [_capped_valuation(instance.b, p**s, e) for p, e in primes]
+    # One entry per distinct restriction t: the exponents of n / t and
+    # the number g of unknowns pinned to it.
+    groups = [
+        ([e - _capped_valuation(t, p, e) for p, e in primes], g)
+        for t, g in Counter(instance.restrictions).items()
+    ]
     total = 0
-    for d in profile.divisors:
-        outer = cohen_ramanujan(d, s, instance.b)
-        if outer == 0:
-            continue
-        arg = modulus // d**s
-        term = outer
-        for dj, gj in zip(profile.divisors, profile.multiplicities):
-            if gj:
-                term *= cohen_ramanujan(n // dj, s, arg) ** gj
+    for d_exps in itertools.product(*(range(e + 1) for _, e in primes)):
+        term = ramanujan_at(d_exps, b_levels)
+        arg_levels = [e - dp for (_, e), dp in zip(primes, d_exps)]
+        for r_exps, g in groups:
+            if term == 0:
+                break
+            term *= ramanujan_at(r_exps, arg_levels) ** g
         total += term
     return total
 

@@ -59,7 +59,8 @@ def convolution_count(instance: CongruenceInstance, budget: int = DEFAULT_VECTOR
     """Schoolbook cyclic convolution of class indicators over Z/n**s.
 
     Costs O(k * n**2s) exact integer operations, so it reaches instances
-    whose tuple spaces are far beyond brute force.
+    whose tuple spaces are far beyond brute force.  `budget` caps n**s,
+    which bounds both the vectors and every class enumerated.
     """
     modulus = instance.modulus
     if modulus > budget:
@@ -68,7 +69,7 @@ def convolution_count(instance: CongruenceInstance, budget: int = DEFAULT_VECTOR
     vec[0] = 1  # delta at 0: the empty sum
     expected_mass = 1
     for t in instance.restrictions:
-        members = class_members(instance.n, instance.s, t)
+        members = class_members(instance.n, instance.s, t, budget)
         nxt = [0] * modulus
         for residue, ways in enumerate(vec):
             if ways:

@@ -5,26 +5,24 @@ The generalized sum over the s-th-power coprime residues is
     c_{r,s}(n) = sum(e(n * j / r**s) for 1 <= j <= r**s if (j, r**s)_s == 1)
 
 with e(x) = exp(2*pi*i*x).  It is integer valued; at s == 1 it reduces to
-the classic c_r(n) over primitive r-th roots of unity.  Production
-evaluation uses the equivalent exact divisor form
+the classic c_r(n) over primitive r-th roots of unity.  Cohen showed it is
+multiplicative in r, with the prime-power form
 
-    c_{r,s}(n) = sum(mobius(r // d) * d**s for d | r if d**s divides n)
+    c_{p**a,s}(n) = [p**(a*s) | n] * p**(a*s) - [p**((a-1)*s) | n] * p**((a-1)*s)
 
-while the exponential definition is kept as an independent floating point
-oracle (`cohen_ramanujan_direct`).
-
-Values are memoized per (r, s, (n, r**s)_s): the sum only depends on the
-generalized gcd of its argument with r**s, so every n in one gcd class
-shares a single cache entry.  That same reduction also absorbs negative
-arguments and periodicity mod r**s.
+so production evaluation factors r alone and reads n only through
+min(v_p(n) // s, a) at each p**a || r.  Negative arguments, periodicity
+mod r**s and arguments far past the factorization limit need no special
+case.  Two references stay independent of that form: the Moebius divisor
+sum (`_mobius_divisor_sum`) and the exponential definition as a floating
+point oracle (`cohen_ramanujan_direct`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .arith import divisors, factorize, generalized_gcd, mobius
+from .arith import divisors, factorize, mobius
 from .errors import BudgetExceededError, ConsistencyError, DomainError
 
 # Cap on r**s for the term-by-term exponential oracle.
@@ -34,46 +32,21 @@ DEFAULT_DIRECT_BUDGET = 10**5
 DIRECT_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class RamanujanKey:
-    """Cache key: the argument n collapses to reduced_arg = (n, r**s)_s."""
-
-    r: int
-    s: int
-    reduced_arg: int
-
-
-class RamanujanCache:
-    """Memo table for c_{r,s} values, semantically transparent.
-
-    Safe under CPython threads without locking: the value for a key is
-    deterministic, so racing writers can at worst duplicate work, never
-    store divergent results.
-    """
-
-    def __init__(self) -> None:
-        self._table: dict[RamanujanKey, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def clear(self) -> None:
-        self._table.clear()
-
-    @staticmethod
-    def key_for(r: int, s: int, n: int) -> RamanujanKey:
-        return RamanujanKey(r=r, s=s, reduced_arg=generalized_gcd(n, r**s, s).value)
-
-    def value(self, r: int, s: int, n: int) -> int:
-        key = self.key_for(r, s, n)
-        cached = self._table.get(key)
-        if cached is None:
-            cached = _mobius_divisor_sum(r, s, key.reduced_arg)
-            self._table[key] = cached
-        return cached
+def _capped_valuation(m: int, q: int, cap: int) -> int:
+    """min(v_q(m), cap) for q >= 2; m == 0 gives cap."""
+    j = 0
+    while j < cap and m % q == 0:
+        m //= q
+        j += 1
+    return j
 
 
-_shared_cache = RamanujanCache()
+def _prime_power_sum(p: int, a: int, s: int, j: int) -> int:
+    """c_{p**a,s}(m) for a >= 1, given j = min(v_p(m) // s, a)."""
+    if j < a - 1:
+        return 0
+    low = p ** ((a - 1) * s)
+    return low * p**s - low if j == a else -low
 
 
 def _mobius_divisor_sum(r: int, s: int, m: int) -> int:
@@ -86,14 +59,16 @@ def _mobius_divisor_sum(r: int, s: int, m: int) -> int:
     return total
 
 
-def cohen_ramanujan(r: int, s: int, n: int, cache: RamanujanCache | None = None) -> int:
-    """c_{r,s}(n) by the exact divisor form, memoized on the reduced argument."""
+def cohen_ramanujan(r: int, s: int, n: int) -> int:
+    """c_{r,s}(n) exactly, as the product of prime-power sums over p**a || r."""
     if r < 1:
         raise DomainError(f"cohen_ramanujan requires r >= 1, got {r}")
     if s < 1:
         raise DomainError(f"cohen_ramanujan requires s >= 1, got {s}")
-    table = _shared_cache if cache is None else cache
-    return table.value(r, s, n)
+    value = 1
+    for p, a in factorize(r).factors:
+        value *= _prime_power_sum(p, a, s, _capped_valuation(n, p**s, a))
+    return value
 
 
 def ramanujan_classic(r: int, n: int) -> int:

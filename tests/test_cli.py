@@ -109,6 +109,20 @@ class TestCount:
         assert code == 1 and err.startswith("error:") and "budget" in err
         assert sys.get_int_max_str_digits() == cap
 
+    def test_modulus_past_factorization_limit(self, capsys):
+        # n**s = 2**50 is past the factorization limit; only n is factored.
+        code, out, err = run_cli(capsys, "count", "--n", "2", "--s", "50", "--b", "0", "--t", "1,2")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "count = 0"
+
+    def test_convolution_budget_reaches_class_enumeration(self, capsys):
+        # n**s = 1002001 is past the default class budget of 10**6
+        argv = ["count", "--n", "1001", "--s", "2", "--b", "0", "--t", "1001",
+                "--engine", "convolution", "--budget", "2000000"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "count = 1"
+
 
 class TestJsonContract:
     def test_round_trip_is_idempotent(self, capsys):
@@ -151,6 +165,11 @@ class TestRamanujan:
         code, out, _ = run_cli(capsys, "ramanujan", "--r", "6", "--s", "1", "--m", "0")
         assert code == 0
         assert "= 2" in out
+
+    def test_r_power_past_factorization_limit(self, capsys):
+        code, out, err = run_cli(capsys, "ramanujan", "--r", "1000003", "--s", "2", "--m", "0")
+        assert code == 0 and err == ""
+        assert out.strip() == "c_{1000003,2}(0) = 1000006000008"
 
     def test_rejects_zero_modulus(self, capsys):
         code, _, err = run_cli(capsys, "ramanujan", "--r", "0", "--s", "1", "--m", "0")
@@ -416,3 +435,16 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "count = 3" in proc.stdout
+
+
+def test_worked_example_script():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(REPO_ROOT, "scripts", "worked_example.py")],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.strip() for line in proc.stdout.splitlines()]
+    assert "pre-division sum = 48 (fourier_numerator agrees: 48)" in lines
+    assert "count = 48 / 16 = 3" in lines

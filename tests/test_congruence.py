@@ -220,6 +220,69 @@ class TestCountRestricted:
         assert value == (2**140 + 2) // 3  # (J_1(3)**k + 2) / 3 at b == 0
 
 
+def count_by_local_convolution(instance):
+    """The count as a product over p**e || n of convolution counts mod p**(e*s).
+
+    By the Chinese remainder theorem the class condition and the target
+    split prime by prime, so each local instance has modulus p**(e*s).
+    """
+    from rescong.arith import factorize
+    from rescong.oracle import convolution_count
+
+    n, s = instance.n, instance.s
+    out = 1
+    for p, e in factorize(n).factors:
+        q = p**e
+        local = tuple(math.gcd(t, q) for t in instance.restrictions)
+        out *= convolution_count(CongruenceInstance(q, s, instance.b, local))
+    return out
+
+
+class TestLargeModulus:
+    """Moduli n**s past the factorization limit, or with a gcd past it."""
+
+    CASES = [(2, 50), (10000, 4), (1000003, 2), (720720, 2)]
+
+    def targets(self, n, s):
+        return (0, 1, 2**20, n**s - 1)
+
+    def test_pinned_counts(self):
+        assert count_restricted(CongruenceInstance(2, 50, 0, (1, 2))) == 0
+        # C(1) mod 2**50 is everything but 2**50, and x_2 = -x_1 stays in it
+        assert count_restricted(CongruenceInstance(2, 50, 0, (1, 1))) == 2**50 - 1
+        assert count_restricted(CongruenceInstance(10000, 4, 0, (1, 10))) == 0
+        # x_2 = -x_1 for a unit x_1: J_2(p) = p**2 - 1 solutions
+        assert count_restricted(CongruenceInstance(1000003, 2, 0, (1, 1))) == 1000003**2 - 1
+
+    @pytest.mark.parametrize("n,s", CASES[:3])
+    def test_partition_over_all_restriction_pairs(self, n, s):
+        divs = divisors(n)
+        for b in self.targets(n, s):
+            total = sum(
+                count_restricted(CongruenceInstance(n, s, b, ts))
+                for ts in itertools.product(divs, repeat=2)
+            )
+            assert total == n**s
+
+    def test_partition_rows_at_divisor_heavy_modulus(self):
+        # The full 240**2 square takes minutes; each row t_1 sums to the
+        # class size J_s(n / t_1), and the rows sum to n**s.
+        n, s = 720720, 2
+        divs = divisors(n)
+        for b in self.targets(n, s):
+            for t1 in (1, 5040):
+                row = sum(count_restricted(CongruenceInstance(n, s, b, (t1, t2))) for t2 in divs)
+                assert row == jordan_totient(n // t1, s)
+
+    def test_matches_local_convolution_product(self):
+        # every p**(e*s) of 720720**2 is at most 2**8, so the oracle is cheap
+        n, s = 720720, 2
+        for b in self.targets(n, s):
+            for ts in [(1, 1), (2, 3), (4, 15, 720720), (1, 6, 11, 5040), (13,) * 5]:
+                inst = CongruenceInstance(n, s, b, ts)
+                assert count_restricted(inst) == count_by_local_convolution(inst)
+
+
 class TestLehmer:
     def lehmer_by_scan(self, coeffs, b, n):
         return sum(

@@ -65,6 +65,14 @@ class TestConvolution:
         with pytest.raises(BudgetExceededError):
             convolution_count(CongruenceInstance(7, 2, 0, (1,)), budget=10)
 
+    def test_budget_covers_class_enumeration(self):
+        # n**s = 1002001 is past the default class budget; C(n) = {n**s}
+        # keeps the one class small.
+        inst = CongruenceInstance(1001, 2, 0, (1001, 1001))
+        assert convolution_count(inst, budget=2 * 10**6) == 1
+        with pytest.raises(BudgetExceededError):
+            convolution_count(inst, budget=10**6)
+
     def test_total_mass_is_product_of_class_sizes(self):
         # summing the count over every target b recovers the tuple space size
         for n, s, ts in [(4, 2, (1, 2)), (6, 1, (1, 2, 3)), (6, 2, (2, 3))]:

@@ -1,5 +1,4 @@
 import math
-import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +6,7 @@ from hypothesis import given, strategies as st
 from rescong.arith import euler_phi, generalized_gcd, jordan_totient
 from rescong.errors import BudgetExceededError, ConsistencyError, DomainError
 from rescong.ramanujan import (
-    RamanujanCache,
+    _mobius_divisor_sum,
     cohen_ramanujan,
     cohen_ramanujan_direct,
     ramanujan_classic,
@@ -134,67 +133,21 @@ class TestStructure:
                     assert lhs == cohen_ramanujan_direct(r * q, s, n)
 
 
-class TestCache:
-    def test_key_reduced_argument_structure(self):
-        from rescong.arith import iroot
-
-        for r in (1, 2, 6, 12):
-            for s in (1, 2, 3):
+class TestReference:
+    def test_matches_mobius_divisor_form(self):
+        # Arguments past r**s, where the direct oracle's term budget ends,
+        # are covered by r**s, 5 * r**s and r**(s + 1).
+        for r in range(1, 200):
+            for s in (1, 2, 3, 4):
                 rs = r**s
-                for n in range(-10, rs + 10):
-                    key = RamanujanCache.key_for(r, s, n)
-                    assert key.r == r and key.s == s
-                    assert rs % key.reduced_arg == 0
-                    assert iroot(key.reduced_arg, s) ** s == key.reduced_arg
-                    if n % rs == 0:
-                        assert key.reduced_arg == rs
+                for m in [*range(-40, 200), rs, 5 * rs, r * rs]:
+                    assert cohen_ramanujan(r, s, m) == _mobius_divisor_sum(r, s, m), (r, s, m)
 
-    def test_transparent_to_recomputation(self):
-        warm = RamanujanCache()
-        for r, s, n, expected in KNOWN_VALUES:
-            first = cohen_ramanujan(r, s, n, cache=warm)
-            again = cohen_ramanujan(r, s, n, cache=warm)  # served from cache
-            scratch = cohen_ramanujan(r, s, n, cache=RamanujanCache())
-            assert first == again == scratch == expected
-
-    def test_one_entry_per_gcd_class(self):
-        cache = RamanujanCache()
-        r, s = 6, 2
-        rs = r**s
-        for n in range(rs):
-            cohen_ramanujan(r, s, n, cache=cache)
-        distinct = {generalized_gcd(n, rs, s).value for n in range(rs)}
-        assert len(cache) == len(distinct)
-
-    def test_negative_and_shifted_arguments_share_entries(self):
-        cache = RamanujanCache()
-        for n in (7, -7, 7 + 36, 7 - 72):
-            cohen_ramanujan(6, 2, n, cache=cache)
-        assert len(cache) == 1
-
-    def test_clear(self):
-        cache = RamanujanCache()
-        cohen_ramanujan(4, 2, 5, cache=cache)
-        assert len(cache) == 1
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_concurrent_readers_and_writers(self):
-        cache = RamanujanCache()
-        grid = [(r, s, n) for r in range(1, 9) for s in (1, 2) for n in range(r**s)]
-        expected = {key: cohen_ramanujan(*key, cache=RamanujanCache()) for key in grid}
-        failures = []
-
-        def hammer():
-            for key in grid:
-                if cohen_ramanujan(*key, cache=cache) != expected[key]:
-                    failures.append(key)
-
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not failures
-        for key in grid:
-            assert cohen_ramanujan(*key, cache=cache) == expected[key]
+    def test_argument_past_factorization_limit(self):
+        # c_{r,s}(m) reads m only through valuations at the primes of r
+        assert cohen_ramanujan(2, 50, 0) == 2**50 - 1
+        assert cohen_ramanujan(2, 50, 2**60) == 2**50 - 1
+        assert cohen_ramanujan(2, 50, 2**49) == -1
+        assert cohen_ramanujan(1000003, 2, 0) == 1000006000008
+        assert cohen_ramanujan(1000003, 2, 1000003**3 + 1) == -1
+        assert cohen_ramanujan(4, 30, 2**29) == 0
