@@ -1,9 +1,9 @@
 """Elementary multiplicative number theory on plain integers.
 
-Factorization by trial division, divisor enumeration, the Moebius and
-totient functions, and the generalized gcd (a, b)_s: the largest s-th
-power l**s that divides a and b simultaneously.  Everything here is
-exact integer arithmetic; nothing touches floating point.
+Prime factorization by trial division, divisor enumeration, the Moebius
+and totient functions, and the generalized gcd (a, b)_s: the largest
+s-th power l**s that divides a and b simultaneously.  Everything here
+is exact integer arithmetic; nothing touches floating point.
 """
 
 from __future__ import annotations
@@ -20,17 +20,6 @@ FACTORIZE_LIMIT = 10**12
 
 
 @dataclass(frozen=True)
-class Factorization:
-    """value == prod(p**e for p, e in factors), primes strictly ascending.
-
-    The factorization of 1 has an empty factor tuple.
-    """
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
 class GeneralizedGcd:
     """(a, b)_s: value == base**power is the largest such power dividing both."""
 
@@ -39,8 +28,16 @@ class GeneralizedGcd:
     value: int
 
 
-@lru_cache(maxsize=None)
-def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
+@lru_cache(maxsize=256)
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of 1 <= n <= FACTORIZE_LIMIT as (p, e) pairs.
+
+    Primes strictly ascending, every e >= 1; 1 has no pairs.
+    """
+    if n < 1:
+        raise DomainError(f"factorize requires n >= 1, got {n}")
+    if n > FACTORIZE_LIMIT:
+        raise DomainError(f"factorize is limited to n <= {FACTORIZE_LIMIT}, got {n}")
     pairs: list[tuple[int, int]] = []
     rem = n
     for p in (2, 3):
@@ -65,42 +62,25 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def factorize(n: int) -> Factorization:
-    """Prime factorization of n for 1 <= n <= FACTORIZE_LIMIT."""
-    if n < 1:
-        raise DomainError(f"factorize requires n >= 1, got {n}")
-    if n > FACTORIZE_LIMIT:
-        raise DomainError(f"factorize is limited to n <= {FACTORIZE_LIMIT}, got {n}")
-    return Factorization(value=n, factors=_factor_pairs(n))
-
-
-@lru_cache(maxsize=None)
-def _divisor_tuple(n: int) -> tuple[int, ...]:
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, strictly ascending (1 first, n last)."""
     divs = [1]
-    for p, e in _factor_pairs(n):
+    for p, e in factorize(n):
         pk = 1
         grown = []
         for _ in range(e):
             pk *= p
             grown.extend(d * pk for d in divs)
         divs.extend(grown)
-    return tuple(sorted(divs))
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, strictly ascending (1 first, n last)."""
-    if n < 1:
-        raise DomainError(f"divisors requires n >= 1, got {n}")
-    if n > FACTORIZE_LIMIT:
-        raise DomainError(f"divisors is limited to n <= {FACTORIZE_LIMIT}, got {n}")
-    return list(_divisor_tuple(n))
+    divs.sort()
+    return divs
 
 
 def mobius(n: int) -> int:
     """Moebius mu(n): 0 when a squared prime divides n, else (-1)**omega(n)."""
     if n < 1:
         raise DomainError(f"mobius requires n >= 1, got {n}")
-    pairs = factorize(n).factors
+    pairs = factorize(n)
     if any(e > 1 for _, e in pairs):
         return 0
     return -1 if len(pairs) % 2 else 1
@@ -111,7 +91,7 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise DomainError(f"euler_phi requires n >= 1, got {n}")
     phi = 1
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         phi *= p ** (e - 1) * (p - 1)
     return phi
 
@@ -127,27 +107,9 @@ def jordan_totient(n: int, s: int) -> int:
     if s < 1:
         raise DomainError(f"jordan_totient requires s >= 1, got {s}")
     out = 1
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         out *= p ** (s * e) - p ** (s * (e - 1))
     return out
-
-
-def iroot(x: int, s: int) -> int:
-    """Floor of the s-th root of x, by integer binary search (no floats)."""
-    if s < 1:
-        raise DomainError(f"iroot requires s >= 1, got {s}")
-    if x < 0:
-        raise DomainError(f"iroot requires x >= 0, got {x}")
-    if x < 2 or s == 1:
-        return x
-    lo, hi = 1, 1 << (x.bit_length() // s + 1)  # hi**s > x by construction
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if mid**s <= x:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def generalized_gcd(a: int, b: int, s: int) -> GeneralizedGcd:
@@ -163,7 +125,7 @@ def generalized_gcd(a: int, b: int, s: int) -> GeneralizedGcd:
         raise DomainError("generalized_gcd requires at least one nonzero argument")
     g = math.gcd(abs(a), abs(b))
     base = 1
-    for p, e in factorize(g).factors:
+    for p, e in factorize(g):
         if e >= s:
             base *= p ** (e // s)
     return GeneralizedGcd(base=base, power=s, value=base**s)

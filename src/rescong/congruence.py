@@ -35,7 +35,7 @@ from .arith import divisors, euler_phi, factorize
 from .errors import BudgetExceededError, ConsistencyError, DomainError
 from .ramanujan import _capped_valuation, _prime_power_sum, ramanujan_classic
 
-# Ceiling on n**s for explicit class enumeration.
+# Ceiling on the (n/d)**s slots scanned to enumerate one class C(d).
 DEFAULT_CLASS_BUDGET = 10**6
 
 # Evidence that the integrality invariant is exercised: every closed-form
@@ -103,26 +103,32 @@ def class_profile(instance: CongruenceInstance) -> ClassProfile:
     )
 
 
-@lru_cache(maxsize=None)
+# 64 entries hold every class of one (n, s) for n < 5040 (tau(n) <= 48
+# there), which is the working set of a sweep that walks n in order.
+@lru_cache(maxsize=64)
 def _class_members(n: int, s: int, d: int) -> tuple[int, ...]:
     # x = d**s * y sweeps C(d) exactly as y runs over [1, (n/d)**s]
     # avoiding p**s | y for every prime p of n/d.  (Primes at full
     # multiplicity in d impose no condition on y.)
     m = n // d
     ds = d**s
-    blocked = [p**s for p, _ in factorize(m).factors]
+    blocked = [p**s for p, _ in factorize(m)]
     return tuple(ds * y for y in range(1, m**s + 1) if all(y % q for q in blocked))
 
 
 def class_members(n: int, s: int, d: int, budget: int = DEFAULT_CLASS_BUDGET) -> list[int]:
-    """Ascending members of C(d): the x in [1, n**s] with (x, n**s)_s == d**s."""
+    """Ascending members of C(d): the x in [1, n**s] with (x, n**s)_s == d**s.
+
+    Enumeration scans (n/d)**s slots, and `budget` caps that scan.
+    """
     if n < 1 or s < 1:
         raise DomainError(f"class_members requires n, s >= 1, got n={n} s={s}")
     if d < 1 or n % d != 0:
         raise DomainError(f"d = {d} is not a positive divisor of n = {n}")
-    if n**s > budget:
+    slots = (n // d) ** s
+    if slots > budget:
         raise BudgetExceededError(
-            f"class enumeration needs n**s = {n**s} slots, budget is {budget}"
+            f"enumerating C({d}) scans (n/d)**s = {slots} slots, budget is {budget}"
         )
     return list(_class_members(n, s, d))
 
@@ -136,7 +142,7 @@ def fourier_numerator(instance: CongruenceInstance) -> int:
     min(v_p(b) // s, e), and n**s / d**s through e - v_p(d).
     """
     n, s = instance.n, instance.s
-    primes = factorize(n).factors
+    primes = factorize(n)
 
     def ramanujan_at(exponents, levels) -> int:
         # c_{r,s}(m) for r = prod(p**a_p), given level_p = min(v_p(m) // s, e_p)
@@ -212,7 +218,7 @@ def count_units_rademacher(n: int, k: int, b: int) -> int:
     if n < 1 or k < 1:
         raise DomainError(f"count_units_rademacher requires n, k >= 1, got n={n} k={k}")
     result = Fraction(euler_phi(n) ** k, n)
-    for p, _ in factorize(n).factors:
+    for p, _ in factorize(n):
         if b % p == 0:
             result *= 1 - Fraction((-1) ** (k - 1), (p - 1) ** (k - 1))
         else:

@@ -13,7 +13,7 @@ import itertools
 import math
 
 from .arith import jordan_totient
-from .congruence import CongruenceInstance, class_members
+from .congruence import DEFAULT_CLASS_BUDGET, CongruenceInstance, class_members
 from .errors import BudgetExceededError, ConsistencyError, DomainError
 from .ramanujan import _pairwise_sum
 
@@ -25,9 +25,10 @@ def _matching_tuples(instance: CongruenceInstance, budget: int = DEFAULT_TUPLE_B
     """Iterator over the admissible tuples that solve `instance`, lexicographically.
 
     The tuple space, the product of the class sizes J_s(n / t_i), is
-    checked against `budget` before any class is enumerated.  Class
-    member lists are ascending, so the odometer order of
-    itertools.product is exactly lexicographic order on the tuples.
+    checked against `budget` before any class is enumerated, and so is
+    the (n / t_i)**s scan that enumerates each class.  Class member
+    lists are ascending, so the odometer order of itertools.product is
+    exactly lexicographic order on the tuples.
     """
     n, s, ts = instance.n, instance.s, instance.restrictions
     # (n / t)**s bounds the class size J_s(n / t) from above.  The exact
@@ -44,7 +45,7 @@ def _matching_tuples(instance: CongruenceInstance, budget: int = DEFAULT_TUPLE_B
                 f"the tuple space holds at least {total_tuples} tuples, past the "
                 f"enumeration budget {budget}; use convolution_count instead"
             )
-    member_lists = [class_members(n, s, t) for t in ts]
+    member_lists = [class_members(n, s, t, budget) for t in ts]
     modulus = instance.modulus
     target = instance.b
     return (combo for combo in itertools.product(*member_lists) if sum(combo) % modulus == target)
@@ -85,7 +86,9 @@ def convolution_count(instance: CongruenceInstance, budget: int = DEFAULT_VECTOR
     return vec[instance.b]
 
 
-def class_character_sum(n: int, s: int, d: int, m: int, budget: int = 10**6) -> complex:
+def class_character_sum(
+    n: int, s: int, d: int, m: int, budget: int = DEFAULT_CLASS_BUDGET
+) -> complex:
     """sum(e(m * x / n**s) for x in C(d)); lands on c_{n/d, s}(m).
 
     Returned un-rounded so callers can check the residual themselves.

@@ -66,7 +66,7 @@ def cohen_ramanujan(r: int, s: int, n: int) -> int:
     if s < 1:
         raise DomainError(f"cohen_ramanujan requires s >= 1, got {s}")
     value = 1
-    for p, a in factorize(r).factors:
+    for p, a in factorize(r):
         value *= _prime_power_sum(p, a, s, _capped_valuation(n, p**s, a))
     return value
 
@@ -115,7 +115,7 @@ def cohen_ramanujan_direct(
             f"direct evaluation needs r**s = {rs} terms, budget is {budget}"
         )
     # (j, r**s)_s == 1 exactly when no prime p | r has p**s | j.
-    blocked = [p**s for p, _ in factorize(r).factors]
+    blocked = [p**s for p, _ in factorize(r)]
     n_red = n % rs
     terms = []
     for j in range(1, rs + 1):

@@ -123,6 +123,22 @@ class TestCount:
         assert code == 0 and err == ""
         assert out.splitlines()[-1] == "count = 1"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--engine", "brute", "--budget", "10000000"],
+            ["count", "--engine", "brute"],
+            ["solve"],
+        ],
+    )
+    def test_brute_force_past_class_budget_of_n_pow_s(self, capsys, argv):
+        # n**s = 1002001, but C(1001) = {n**s} scans one slot, so the
+        # tuple space and every class scan stay within the budget.
+        instance = ["--n", "1001", "--s", "2", "--b", "0", "--t", "1001,1001"]
+        code, out, err = run_cli(capsys, argv[0], *instance, *argv[1:])
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "count = 1"
+
 
 class TestJsonContract:
     def test_round_trip_is_idempotent(self, capsys):
@@ -385,7 +401,7 @@ def cli_argvs(draw):
         argv += ["--n", str(n), "--s", str(s), "--b", str(draw(st.integers(-50, 10**6)))]
         divs = divisors(n) if n >= 1 else [1]
         if draw(st.booleans()):
-            argv += ["--t", int_list(st.sampled_from(divs) | st.integers(low(), n + 1))]
+            argv += ["--t", int_list(st.sampled_from(divs) | st.integers(low(), max(n, 1) + 1))]
         elif draw(st.booleans()):
             width = draw(st.sampled_from([len(divs)] * 3 + [len(divs) + 1]))
             argv += ["--g", int_list(st.integers(low(0), 4), max_size=width)]

@@ -231,7 +231,7 @@ def count_by_local_convolution(instance):
 
     n, s = instance.n, instance.s
     out = 1
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         q = p**e
         local = tuple(math.gcd(t, q) for t in instance.restrictions)
         out *= convolution_count(CongruenceInstance(q, s, instance.b, local))

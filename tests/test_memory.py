@@ -1,0 +1,36 @@
+import gc
+import importlib
+import pkgutil
+import tracemalloc
+
+import rescong
+from rescong.congruence import _class_members, class_members
+
+
+def test_every_memo_is_bounded():
+    memos = []
+    for info in pkgutil.iter_modules(rescong.__path__, "rescong."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                memos.append((info.name, name, value.cache_info().maxsize))
+    assert memos, "expected the factorization and class memos"
+    assert [m for m in memos if m[2] is None] == []
+
+
+def test_large_class_leaves_memory_once_evicted():
+    _class_members.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert len(class_members(316, 2, 1)) > 70_000
+        _, peak = tracemalloc.get_traced_memory()
+        for n in range(1, 65):
+            class_members(n, 1, 1)
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before > 2_000_000
+    assert after - before < 1_000_000

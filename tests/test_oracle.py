@@ -48,6 +48,14 @@ class TestBruteForce:
         with pytest.raises(BudgetExceededError, match="convolution_count"):
             brute_force_count(inst, budget=100)
 
+    def test_budget_covers_each_class_scan(self):
+        # 12 tuples fit in a budget of 13, but enumerating C(1) scans
+        # (4/1)**2 = 16 slots.
+        inst = CongruenceInstance(4, 2, 5, (1,))
+        assert brute_force_count(inst, budget=16) == 1
+        with pytest.raises(BudgetExceededError, match=r"C\(1\)"):
+            brute_force_count(inst, budget=13)
+
 
 class TestConvolution:
     def test_worked_example(self):
