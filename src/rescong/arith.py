@@ -9,7 +9,7 @@ is exact integer arithmetic; nothing touches floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import DomainError
@@ -19,13 +19,8 @@ from .errors import DomainError
 FACTORIZE_LIMIT = 10**12
 
 
-@dataclass(frozen=True)
-class GeneralizedGcd:
-    """(a, b)_s: value == base**power is the largest such power dividing both."""
-
-    base: int
-    power: int
-    value: int
+GeneralizedGcd = namedtuple("GeneralizedGcd", "base power value")
+GeneralizedGcd.__doc__ = "(a, b)_s: value == base**power is the largest such power dividing both."
 
 
 @lru_cache(maxsize=256)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import statistics
 import sys
 import time
 
@@ -229,7 +228,9 @@ def _median_timing(fn, reps: int):
         except BudgetExceededError:
             return None, None
         times.append((time.perf_counter() - t0) * 1000.0)
-    return value, statistics.median(times)
+    times.sort()
+    mid = reps // 2
+    return value, times[mid] if reps % 2 else (times[mid - 1] + times[mid]) / 2
 
 
 def cmd_bench(args) -> _Reply:

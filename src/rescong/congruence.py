@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .arith import divisors, euler_phi, factorize
@@ -44,8 +42,7 @@ DEFAULT_CLASS_BUDGET = 10**6
 DIVISIBILITY_STATS = {"checked": 0, "failed": 0}
 
 
-@dataclass(frozen=True)
-class CongruenceInstance:
+class CongruenceInstance(namedtuple("CongruenceInstance", "n s b restrictions")):
     """One restricted congruence: sum of k unknowns == b (mod n**s).
 
     `restrictions` lists the base divisors t_i of n pinning each unknown
@@ -54,23 +51,18 @@ class CongruenceInstance:
     n**s-periodic in b so nothing is lost.
     """
 
-    n: int
-    s: int
-    b: int
-    restrictions: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError(f"modulus base n must be >= 1, got {self.n}")
-        if self.s < 1:
-            raise DomainError(f"power s must be >= 1, got {self.s}")
-        object.__setattr__(self, "restrictions", tuple(self.restrictions))
-        for i, t in enumerate(self.restrictions, start=1):
-            if t < 1 or self.n % t != 0:
-                raise DomainError(
-                    f"restriction t_{i} = {t} is not a positive divisor of n = {self.n}"
-                )
-        object.__setattr__(self, "b", self.b % self.modulus)
+    def __new__(cls, n: int, s: int, b: int, restrictions=()):
+        if n < 1:
+            raise DomainError(f"modulus base n must be >= 1, got {n}")
+        if s < 1:
+            raise DomainError(f"power s must be >= 1, got {s}")
+        restrictions = tuple(restrictions)
+        for i, t in enumerate(restrictions, start=1):
+            if t < 1 or n % t != 0:
+                raise DomainError(f"restriction t_{i} = {t} is not a positive divisor of n = {n}")
+        return super().__new__(cls, n, s, b % n**s, restrictions)
 
     @property
     def modulus(self) -> int:
@@ -81,12 +73,10 @@ class CongruenceInstance:
         return len(self.restrictions)
 
 
-@dataclass(frozen=True)
-class ClassProfile:
+class ClassProfile(namedtuple("ClassProfile", "divisors multiplicities")):
     """Divisors d_1 < ... < d_tau of n with g_j = #(restrictions equal to d_j)."""
 
-    divisors: tuple[int, ...]
-    multiplicities: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def k(self) -> int:
@@ -105,6 +95,11 @@ def class_profile(instance: CongruenceInstance) -> ClassProfile:
 
 # 64 entries hold every class of one (n, s) for n < 5040 (tau(n) <= 48
 # there), which is the working set of a sweep that walks n in order.
+# Only classes of at most _MEMO_SLOTS slots are kept, so the memo holds
+# at most 64 * 4096 members; larger classes are rebuilt on every call.
+_MEMO_SLOTS = 4096
+
+
 @lru_cache(maxsize=64)
 def _class_members(n: int, s: int, d: int) -> tuple[int, ...]:
     # x = d**s * y sweeps C(d) exactly as y runs over [1, (n/d)**s]
@@ -130,7 +125,8 @@ def class_members(n: int, s: int, d: int, budget: int = DEFAULT_CLASS_BUDGET) ->
         raise BudgetExceededError(
             f"enumerating C({d}) scans (n/d)**s = {slots} slots, budget is {budget}"
         )
-    return list(_class_members(n, s, d))
+    build = _class_members if slots <= _MEMO_SLOTS else _class_members.__wrapped__
+    return list(build(n, s, d))
 
 
 def fourier_numerator(instance: CongruenceInstance) -> int:
@@ -212,22 +208,22 @@ def count_units_rademacher(n: int, k: int, b: int) -> int:
     """Units-only count of x_1 + ... + x_k == b (mod n) as a prime product.
 
     phi(n)**k / n times one factor per prime p | n, the factor depending
-    on whether p divides b.  Intermediate values are rational; the final
-    result is provably integral and returned as an int.
+    on whether p divides b.  The product is carried as one numerator
+    over one denominator; it is provably integral and returned as an int.
     """
     if n < 1 or k < 1:
         raise DomainError(f"count_units_rademacher requires n, k >= 1, got n={n} k={k}")
-    result = Fraction(euler_phi(n) ** k, n)
+    num, den = euler_phi(n) ** k, n
     for p, _ in factorize(n):
-        if b % p == 0:
-            result *= 1 - Fraction((-1) ** (k - 1), (p - 1) ** (k - 1))
-        else:
-            result *= 1 - Fraction((-1) ** k, (p - 1) ** k)
-    if result.denominator != 1:
+        # 1 - (-1)**j / (p - 1)**j with j = k - 1 when p | b, else j = k
+        j = k - 1 if b % p == 0 else k
+        num *= (p - 1) ** j - (-1) ** j
+        den *= (p - 1) ** j
+    if num % den != 0:
         raise ConsistencyError(
-            f"units count came out non-integral ({result}) for n={n} k={k} b={b}"
+            f"units count came out non-integral ({num}/{den}) for n={n} k={k} b={b}"
         )
-    return int(result)
+    return num // den
 
 
 def count_units_nicol(n: int, k: int, b: int) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import congruence, oracle
 from .arith import divisors, generalized_gcd
@@ -24,35 +24,29 @@ from .ramanujan import cohen_ramanujan
 # Above this many instances the sweep switches to a seeded subsample.
 DEFAULT_INSTANCE_CAP = 250_000
 
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Bounds for the engine-agreement sweep."""
-
-    max_n: int = 6
-    s_values: tuple[int, ...] = (1, 2)
-    max_k: int = 3
-    seed: int = 0
-    cap: int = DEFAULT_INSTANCE_CAP
+SweepConfig = namedtuple(
+    "SweepConfig", "max_n s_values max_k seed cap", defaults=(6, (1, 2), 3, 0, DEFAULT_INSTANCE_CAP)
+)
+SweepConfig.__doc__ = "Bounds for the engine-agreement sweep."
 
 
-@dataclass
 class SweepReport:
-    space: int
-    checked: int
-    subsampled: bool
-    mismatches: list[dict] = field(default_factory=list)
-    elapsed_ms: float = 0.0
+    def __init__(self, space: int, checked: int, subsampled: bool) -> None:
+        self.space = space
+        self.checked = checked
+        self.subsampled = subsampled
+        self.mismatches: list[dict] = []
+        self.elapsed_ms = 0.0
 
     @property
     def ok(self) -> bool:
         return not self.mismatches
 
 
-@dataclass
 class PropertyReport:
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.checks = 0
+        self.failures: list[str] = []
 
     @property
     def ok(self) -> bool:

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from rescong.arith import (
     FACTORIZE_LIMIT,
+    GeneralizedGcd,
     divisors,
     euler_phi,
     factorize,
@@ -197,6 +198,13 @@ class TestGeneralizedGcd:
     def test_negative_arguments_sign_blind(self):
         assert generalized_gcd(-12, 16, 2).value == 4
         assert generalized_gcd(12, -16, 2).value == 4
+
+    def test_record_fields(self):
+        g = generalized_gcd(72, 36, 2)
+        assert (g.base, g.power, g.value) == (6, 2, 36)
+        assert g == GeneralizedGcd(base=6, power=2, value=36)
+        with pytest.raises(AttributeError):
+            g.value = 1
 
     def test_both_zero_rejected(self):
         with pytest.raises(DomainError):

@@ -1,16 +1,19 @@
 import decimal
+import importlib.util
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
+import types
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rescong import congruence
+from rescong import cli, congruence
 from rescong.arith import divisors
 from rescong.cli import canonical_json, main
 
@@ -334,6 +337,25 @@ class TestBench:
             {k: r[k] for k in keys} for r in rows_b
         ]
 
+    def test_two_reps_report_the_mean_of_both(self, capsys, monkeypatch):
+        # Clock reads in call order: main's start, then (start, end) per rep
+        # for formula, convolution and brute force, then main's end.
+        reads = [0.0, 0.0, 0.001, 0.0, 0.004, 0.0, 0.002, 0.0, 0.006, 0.0, 0.01, 0.0, 0.02, 0.0]
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=iter(reads).__next__))
+        _, out, _ = run_cli(
+            capsys, "bench", "--n", "4", "--s", "1", "--k", "2", "--reps", "2", "--format", "json"
+        )
+        row = json.loads(out)["result"]["rows"][0]
+        assert (row["formula_ms"], row["convolution_ms"], row["brute_ms"]) == (2.5, 4.0, 15.0)
+
+    @pytest.mark.parametrize("durations", [[3.0], [4.0, 1.0], [5.0, 1.0, 3.0], [9.0, 1.0, 4.0, 2.0]])
+    def test_median_timing_matches_statistics_median(self, monkeypatch, durations):
+        reads = [x for ms in durations for x in (0.0, ms / 1000.0)]
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=iter(reads).__next__))
+        value, median = cli._median_timing(lambda: 7, len(durations))
+        assert value == 7
+        assert median == pytest.approx(statistics.median(durations))
+
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_nonpositive_reps_is_usage_error(self, capsys, reps):
         code, out, err = run_cli(
@@ -451,6 +473,25 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "count = 3" in proc.stdout
+
+
+def test_cli_import_footprint():
+    # -S keeps site hooks from preloading modules into the child.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(REPO_ROOT, "perfbench", "spans.py")
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    code = "import json, sys\nimport rescong.cli\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, cwd=REPO_ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    heavy = {"dataclasses", "fractions", "decimal", "statistics", "inspect"}
+    assert heavy & loaded == set()
+    assert {module for module, _ in spans.TARGETS.values()} <= loaded
 
 
 def test_worked_example_script():

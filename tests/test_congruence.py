@@ -62,6 +62,44 @@ class TestInstance:
         inst = CongruenceInstance(4, 2, 0, ())
         assert inst.k == 0 and inst.modulus == 16
 
+    def test_keyword_construction_reduces_b_and_freezes_restrictions(self):
+        inst = CongruenceInstance(n=4, s=2, b=21, restrictions=[1, 2])
+        assert (inst.n, inst.s, inst.b, inst.restrictions) == (4, 2, 5, (1, 2))
+        assert inst.k == 2 and inst.modulus == 16
+        assert CongruenceInstance(n=6, s=1, b=-1).restrictions == ()
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((0, 1, 0, ()), "modulus base n must be >= 1, got 0"),
+            ((4, 0, 0, ()), "power s must be >= 1, got 0"),
+            ((4, 2, 5, (1, 3)), "restriction t_2 = 3 is not a positive divisor of n = 4"),
+            ((4, 1, 0, (0,)), "restriction t_1 = 0 is not a positive divisor of n = 4"),
+        ],
+    )
+    def test_domain_error_messages(self, args, message):
+        with pytest.raises(DomainError) as info:
+            CongruenceInstance(*args)
+        assert str(info.value) == message
+
+    def test_equality_and_hashing_follow_the_reduced_fields(self):
+        a = CongruenceInstance(4, 2, 5, (1, 2))
+        b = CongruenceInstance(n=4, s=2, b=21, restrictions=[1, 2])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, CongruenceInstance(4, 2, 5, (2, 1))}) == 2
+        assert a != CongruenceInstance(4, 2, 6, (1, 2))
+
+    def test_repr_names_every_field(self):
+        inst = CongruenceInstance(4, 2, 21, (1, 2))
+        assert repr(inst) == "CongruenceInstance(n=4, s=2, b=5, restrictions=(1, 2))"
+
+    def test_immutable(self):
+        inst = CongruenceInstance(4, 2, 5, (1, 2))
+        with pytest.raises(AttributeError):
+            inst.b = 6
+        with pytest.raises(AttributeError):
+            inst.extra = 1
+
 
 class TestClassProfile:
     def test_worked_example_profile(self):
@@ -70,7 +108,10 @@ class TestClassProfile:
 
     def test_empty_restrictions(self):
         profile = class_profile(CongruenceInstance(4, 2, 0, ()))
-        assert profile.multiplicities == (0, 0, 0)
+        assert profile.multiplicities == (0, 0, 0) and profile.k == 0
+
+    def test_k_counts_unknowns(self):
+        assert class_profile(CongruenceInstance(6, 1, 0, (2, 2, 3))).k == 3
 
     def test_multiset_counting(self):
         profile = class_profile(CongruenceInstance(6, 1, 0, (2, 2, 3)))

@@ -34,3 +34,24 @@ def test_large_class_leaves_memory_once_evicted():
         tracemalloc.stop()
     assert peak - before > 2_000_000
     assert after - before < 1_000_000
+
+
+def test_large_class_is_not_kept_after_return():
+    _class_members.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert len(class_members(316, 2, 1)) > 70_000
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 1_000_000
+
+
+def test_small_classes_hit_the_memo():
+    _class_members.cache_clear()
+    first = class_members(8, 2, 1)
+    assert class_members(8, 2, 1) == first
+    assert _class_members.cache_info().hits == 1

@@ -2,6 +2,7 @@ import pytest
 
 from rescong import congruence
 from rescong.verification import (
+    DEFAULT_INSTANCE_CAP,
     PropertyReport,
     SweepConfig,
     SweepReport,
@@ -10,6 +11,22 @@ from rescong.verification import (
     iter_instances,
     identity_suites,
 )
+
+
+def test_sweep_config_defaults():
+    cfg = SweepConfig()
+    assert (cfg.max_n, cfg.s_values, cfg.max_k, cfg.seed) == (6, (1, 2), 3, 0)
+    assert cfg.cap == DEFAULT_INSTANCE_CAP
+    assert SweepConfig(max_n=4, cap=9) == SweepConfig(4, (1, 2), 3, 0, 9)
+
+
+def test_reports_start_clean_and_do_not_share_lists():
+    first, second = SweepReport(space=3, checked=0, subsampled=False), PropertyReport()
+    assert first.ok and second.ok and first.elapsed_ms == 0.0 and second.checks == 0
+    first.mismatches.append({"n": 1})
+    second.failures.append("x")
+    assert not first.ok and not second.ok
+    assert SweepReport(3, 0, False).ok and PropertyReport().ok
 
 
 def test_space_size_matches_enumeration():
