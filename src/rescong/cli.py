@@ -241,6 +241,8 @@ def cmd_bench(args) -> _Reply:
         raise _UsageError("bench needs nonempty --n, --s and --k lists")
     if args.reps < 1:
         raise _UsageError(f"--reps must be >= 1, got {args.reps}")
+    if min(ks) < 0:
+        raise _UsageError(f"--k entries must be >= 0, got {min(ks)}")
     budget = _budget(args)
     rows = []
     lines = ["n,s,k,count,formula_ms,convolution_ms,brute_ms"]

@@ -4,7 +4,8 @@ Exhaustive tuple enumeration, iterated cyclic convolution of class
 indicator vectors over Z/n**s, explicit character sums, and solution
 listings.  None of these touch the closed form; agreement between all
 three counting paths on the same instance is the backbone of the
-verification sweep.
+verification sweep.  The character sum over C(1) of r is Cohen's
+definition of c_{r,s}; `cohen_ramanujan_direct` rounds it to an integer.
 """
 
 from __future__ import annotations
@@ -15,10 +16,14 @@ import math
 from .arith import jordan_totient
 from .congruence import DEFAULT_CLASS_BUDGET, CongruenceInstance, class_members
 from .errors import BudgetExceededError, ConsistencyError, DomainError
-from .ramanujan import _pairwise_sum
 
 DEFAULT_TUPLE_BUDGET = 10**7
 DEFAULT_VECTOR_BUDGET = 10**5
+# Cap on r**s for the term-by-term exponential oracle.
+DEFAULT_DIRECT_BUDGET = 10**5
+# Round-off for <= 10**5 unit-modulus terms summed with math.fsum stays
+# orders of magnitude below this.
+DIRECT_TOLERANCE = 1e-6
 
 
 def _matching_tuples(instance: CongruenceInstance, budget: int = DEFAULT_TUPLE_BUDGET):
@@ -91,16 +96,38 @@ def class_character_sum(
 ) -> complex:
     """sum(e(m * x / n**s) for x in C(d)); lands on c_{n/d, s}(m).
 
-    Returned un-rounded so callers can check the residual themselves.
+    The real and imaginary parts are each summed with math.fsum, and
+    returned un-rounded so callers can check the residual themselves.
     """
     members = class_members(n, s, d, budget=budget)
     ns = n**s
     m_red = m % ns
-    terms = []
-    for x in members:
-        angle = 2.0 * math.pi * ((m_red * x) % ns) / ns
-        terms.append(complex(math.cos(angle), math.sin(angle)))
-    return _pairwise_sum(terms)
+    angles = [2.0 * math.pi * ((m_red * x) % ns) / ns for x in members]
+    return complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
+
+
+def cohen_ramanujan_direct(
+    r: int, s: int, n: int, budget: int = DEFAULT_DIRECT_BUDGET, tol: float = DIRECT_TOLERANCE
+) -> int:
+    """c_{r,s}(n) straight from the exponential definition.
+
+    The j in [1, r**s] with (j, r**s)_s == 1 are the class C(1) of r, so
+    this is class_character_sum(r, s, 1, n), whose r**s-slot scan
+    `budget` caps, snapped to the nearest integer.  A residual (imaginary
+    part or distance to that integer) at or above `tol` means the exact
+    path and this one cannot both be right, so it raises ConsistencyError.
+    """
+    if r < 1:
+        raise DomainError(f"cohen_ramanujan_direct requires r >= 1, got {r}")
+    if s < 1:
+        raise DomainError(f"cohen_ramanujan_direct requires s >= 1, got {s}")
+    total = class_character_sum(r, s, 1, n, budget)
+    nearest = round(total.real)
+    if abs(total.imag) >= tol or abs(total.real - nearest) >= tol:
+        raise ConsistencyError(
+            f"direct sum for c_{{{r},{s}}}({n}) = {total!r} is not within {tol} of an integer"
+        )
+    return int(nearest)
 
 
 def enumerate_solutions(

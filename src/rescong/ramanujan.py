@@ -13,23 +13,16 @@ multiplicative in r, with the prime-power form
 so production evaluation factors r alone and reads n only through
 min(v_p(n) // s, a) at each p**a || r.  Negative arguments, periodicity
 mod r**s and arguments far past the factorization limit need no special
-case.  Two references stay independent of that form: the Moebius divisor
-sum (`_mobius_divisor_sum`) and the exponential definition as a floating
-point oracle (`cohen_ramanujan_direct`).
+case.  Everything here is exact integer arithmetic.  The Moebius divisor
+sum (`_mobius_divisor_sum`) is an exact reference independent of that
+form; the exponential definition itself is evaluated in floating point
+by `rescong.oracle.cohen_ramanujan_direct`.
 """
 
 from __future__ import annotations
 
-import math
-
 from .arith import divisors, factorize, mobius
-from .errors import BudgetExceededError, ConsistencyError, DomainError
-
-# Cap on r**s for the term-by-term exponential oracle.
-DEFAULT_DIRECT_BUDGET = 10**5
-# Round-off for <= 10**5 unit-modulus terms under pairwise summation stays
-# orders of magnitude below this.
-DIRECT_TOLERANCE = 1e-6
+from .errors import DomainError
 
 
 def _capped_valuation(m: int, q: int, cap: int) -> int:
@@ -74,59 +67,3 @@ def cohen_ramanujan(r: int, s: int, n: int) -> int:
 def ramanujan_classic(r: int, n: int) -> int:
     """The classic Ramanujan sum c_r(n), i.e. c_{r,1}(n)."""
     return cohen_ramanujan(r, 1, n)
-
-
-def _pairwise_sum(terms: list[complex]) -> complex:
-    """Cascade summation; error grows ~log2(len) rather than len."""
-    k = len(terms)
-    if k == 0:
-        return 0j
-    if k <= 8:
-        total = 0j
-        for t in terms:
-            total += t
-        return total
-    half = k // 2
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-
-
-def cohen_ramanujan_direct(
-    r: int,
-    s: int,
-    n: int,
-    budget: int = DEFAULT_DIRECT_BUDGET,
-    tol: float = DIRECT_TOLERANCE,
-) -> int:
-    """c_{r,s}(n) straight from the exponential definition.
-
-    Sums e(n * j / r**s) over the j in [1, r**s] with (j, r**s)_s == 1,
-    then snaps to the nearest integer.  A residual (imaginary part or
-    distance to that integer) at or above `tol` means the exact path and
-    this one cannot both be right, so it raises ConsistencyError rather
-    than return a guess.
-    """
-    if r < 1:
-        raise DomainError(f"cohen_ramanujan_direct requires r >= 1, got {r}")
-    if s < 1:
-        raise DomainError(f"cohen_ramanujan_direct requires s >= 1, got {s}")
-    rs = r**s
-    if rs > budget:
-        raise BudgetExceededError(
-            f"direct evaluation needs r**s = {rs} terms, budget is {budget}"
-        )
-    # (j, r**s)_s == 1 exactly when no prime p | r has p**s | j.
-    blocked = [p**s for p, _ in factorize(r)]
-    n_red = n % rs
-    terms = []
-    for j in range(1, rs + 1):
-        if any(j % q == 0 for q in blocked):
-            continue
-        angle = 2.0 * math.pi * ((n_red * j) % rs) / rs
-        terms.append(complex(math.cos(angle), math.sin(angle)))
-    total = _pairwise_sum(terms)
-    nearest = round(total.real)
-    if abs(total.imag) >= tol or abs(total.real - nearest) >= tol:
-        raise ConsistencyError(
-            f"direct sum for c_{{{r},{s}}}({n}) = {total!r} is not within {tol} of an integer"
-        )
-    return int(nearest)

@@ -19,6 +19,7 @@ from collections import namedtuple
 from . import congruence, oracle
 from .arith import divisors, generalized_gcd
 from .congruence import CongruenceInstance
+from .errors import DomainError
 from .ramanujan import cohen_ramanujan
 
 # Above this many instances the sweep switches to a seeded subsample.
@@ -79,6 +80,9 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
     When the grid exceeds cfg.cap, a reproducible random subsample of
     exactly cfg.cap instances (seeded by cfg.seed) is checked instead.
     """
+    for s in cfg.s_values:
+        if s < 1:
+            raise DomainError(f"engine_sweep requires every power s >= 1, got {s}")
     t0 = time.perf_counter()
     space = instance_space_size(cfg)
     subsampled = space > cfg.cap

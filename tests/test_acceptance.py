@@ -22,8 +22,8 @@ from rescong.congruence import (
     count_units_rademacher,
     fourier_numerator,
 )
-from rescong.oracle import class_character_sum, enumerate_solutions
-from rescong.ramanujan import cohen_ramanujan, cohen_ramanujan_direct
+from rescong.oracle import class_character_sum, cohen_ramanujan_direct, enumerate_solutions
+from rescong.ramanujan import cohen_ramanujan
 from rescong.verification import SweepConfig, engine_sweep, identity_suites
 
 WORKED = CongruenceInstance(n=4, s=2, b=5, restrictions=(1, 2))

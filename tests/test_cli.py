@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -304,6 +305,12 @@ class TestVerify:
         assert rec["params"]["cap"] == 0
         assert rec["result"]["instances_checked"] == 0
 
+    def test_power_below_one_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--max-n", "3", "--s", "1,-1", "--max-k", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "s >= 1" in err
+
 
 class TestBench:
     def test_grid_row_count(self, capsys):
@@ -364,6 +371,15 @@ class TestBench:
         assert code == 1
         assert out == ""
         assert err.startswith("usage error:") and "--reps" in err
+
+    def test_negative_k_is_usage_error(self, capsys):
+        # (1,) * -1 == (), so a negative k would time the k = 0 instance.
+        code, out, err = run_cli(
+            capsys, "bench", "--n", "4", "--s", "1", "--k", "2,-1", "--reps", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:") and "--k" in err
 
 
 class TestUsageErrors:
@@ -492,6 +508,40 @@ def test_cli_import_footprint():
     heavy = {"dataclasses", "fractions", "decimal", "statistics", "inspect"}
     assert heavy & loaded == set()
     assert {module for module, _ in spans.TARGETS.values()} <= loaded
+
+
+def _readme_sessions(text):
+    """(argv, printed lines) for each `$ rescong ...` example in a README code block."""
+    sessions, current, in_block = [], None, False
+    for line in text.splitlines():
+        if line.startswith("```"):
+            in_block, current = not in_block, None
+        elif in_block and line.startswith("$ rescong "):
+            current = (line.split()[2:], [])
+            sessions.append(current)
+        elif current is not None and line:
+            current[1].append(line)
+        else:
+            current = None
+    return sessions
+
+
+def test_readme_examples(capsys):
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    sessions = _readme_sessions(text)
+    assert [argv[0] for argv, _ in sessions] == ["count", "solve", "verify"]
+    for argv, expected in sessions:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines() == expected, argv
+    # The CLI table's one-line examples: `rescong ramanujan ...` -> 12.
+    table = re.findall(r"`rescong ((?:ramanujan|ggcd) [^`]*)` -> (-?\d+)", text)
+    assert len(table) == 2
+    for command, value in table:
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0
+        assert out.splitlines()[0].endswith(f" = {value}"), command
 
 
 def test_worked_example_script():

@@ -1,14 +1,14 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from rescong.arith import euler_phi, generalized_gcd, jordan_totient
 from rescong.errors import BudgetExceededError, ConsistencyError, DomainError
+from rescong.oracle import cohen_ramanujan_direct
 from rescong.ramanujan import (
     _mobius_divisor_sum,
     cohen_ramanujan,
-    cohen_ramanujan_direct,
     ramanujan_classic,
 )
 
@@ -83,6 +83,12 @@ class TestDirectOracle:
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceededError):
             cohen_ramanujan_direct(7, 2, 1, budget=10)
+
+    @given(st.integers(1, 40), st.integers(1, 3), st.integers(-(10**12), 10**12))
+    def test_negative_and_far_arguments(self, r, s, m):
+        # The agreement sweep only reaches 0 <= m < r**s.
+        assume(r**s <= 5000)
+        assert cohen_ramanujan_direct(r, s, m) == cohen_ramanujan(r, s, m)
 
     def test_impossible_tolerance_raises(self):
         # float round-off alone keeps the residual above an absurd bound

@@ -1,6 +1,7 @@
 import pytest
 
 from rescong import congruence
+from rescong.errors import DomainError
 from rescong.verification import (
     DEFAULT_INSTANCE_CAP,
     PropertyReport,
@@ -49,6 +50,12 @@ def test_subsample_is_capped_and_reproducible():
     assert first.subsampled and second.subsampled
     assert first.checked == second.checked == 50
     assert first.mismatches == second.mismatches == []
+
+
+def test_power_below_one_is_domain_error():
+    # A negative power would reach range(n**-1) in iter_instances.
+    with pytest.raises(DomainError, match="s >= 1"):
+        engine_sweep(SweepConfig(max_n=3, s_values=(1, -1), max_k=2))
 
 
 def test_sweep_detects_corrupted_formula(monkeypatch):
