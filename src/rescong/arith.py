@@ -1,8 +1,8 @@
 """Elementary multiplicative number theory on plain integers.
 
 Prime factorization by trial division, divisor enumeration, the Moebius
-and totient functions, and the generalized gcd (a, b)_s: the largest
-s-th power l**s that divides a and b simultaneously.  Everything here
+and Jordan totient functions, and the generalized gcd (a, b)_s: the
+largest s-th power l**s that divides a and b simultaneously.  Everything here
 is exact integer arithmetic; nothing touches floating point.
 """
 
@@ -79,16 +79,6 @@ def mobius(n: int) -> int:
     if any(e > 1 for _, e in pairs):
         return 0
     return -1 if len(pairs) % 2 else 1
-
-
-def euler_phi(n: int) -> int:
-    """Count of 1 <= j <= n with gcd(j, n) == 1."""
-    if n < 1:
-        raise DomainError(f"euler_phi requires n >= 1, got {n}")
-    phi = 1
-    for p, e in factorize(n):
-        phi *= p ** (e - 1) * (p - 1)
-    return phi
 
 
 def jordan_totient(n: int, s: int) -> int:

@@ -56,7 +56,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     if text is None or text == "" or text == "-":
         return []
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        return [int(tok) for tok in text.split(",")]
     except ValueError:
         raise _UsageError(f"{flag} expects a comma-separated list of integers, got {text!r}")
 
@@ -264,10 +264,6 @@ def cmd_bench(args) -> _Reply:
     return params, {"rows": rows}, lines
 
 
-def _add_format_flag(sub) -> None:
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-
-
 def _add_instance_flags(sub) -> None:
     sub.add_argument("--n", type=int, required=True, help="modulus base")
     sub.add_argument("--s", type=int, required=True, help="modulus power (congruence mod n**s)")
@@ -285,21 +281,18 @@ def build_parser() -> _Parser:
     _add_instance_flags(p)
     p.add_argument("--engine", choices=ENGINES, default="formula")
     p.add_argument("--budget", type=int, help="override the brute or convolution engine's budget")
-    _add_format_flag(p)
     p.set_defaults(handler=cmd_count)
 
     p = subs.add_parser("ramanujan", help="evaluate the generalized Ramanujan sum c_{r,s}(m)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_format_flag(p)
     p.set_defaults(handler=cmd_ramanujan)
 
     p = subs.add_parser("ggcd", help="generalized gcd (a, b)_s")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    _add_format_flag(p)
     p.set_defaults(handler=cmd_ggcd)
 
     p = subs.add_parser("classes", help="divisor classes of [1, n**s] and their sizes")
@@ -307,14 +300,12 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--elements", action="store_true", help="also list the members")
     p.add_argument("--budget", type=int, help="enumeration budget for --elements")
-    _add_format_flag(p)
     p.set_defaults(handler=cmd_classes)
 
     p = subs.add_parser("solve", help="list explicit solutions, lexicographically")
     _add_instance_flags(p)
     p.add_argument("--limit", type=int, default=1000)
     p.add_argument("--budget", type=int, help="tuple enumeration budget")
-    _add_format_flag(p)
     p.set_defaults(handler=cmd_solve)
 
     p = subs.add_parser("verify", help="engine-agreement sweep plus identity suites")
@@ -323,7 +314,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-k", type=int, default=3)
     p.add_argument("--seed", type=int, default=0, help="seed for the subsample, if any")
     p.add_argument("--budget", type=int, help="instance cap before subsampling kicks in")
-    _add_format_flag(p)
     p.set_defaults(handler=cmd_verify)
 
     p = subs.add_parser("bench", help="timing grid across the three engines")
@@ -332,9 +322,10 @@ def build_parser() -> _Parser:
     p.add_argument("--k", default="2,4,8", help="comma list of unknown counts")
     p.add_argument("--reps", type=int, default=3, help="repetitions per cell (median reported)")
     p.add_argument("--budget", type=int, help="override engine budgets")
-    _add_format_flag(p)
     p.set_defaults(handler=cmd_bench)
 
+    for p in subs.choices.values():
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -370,7 +361,3 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     finally:
         sys.set_int_max_str_digits(digit_cap)
-
-
-def entrypoint() -> None:
-    raise SystemExit(main())

@@ -29,9 +29,9 @@ import math
 from collections import Counter, namedtuple
 from functools import lru_cache
 
-from .arith import divisors, euler_phi, factorize
+from .arith import divisors, factorize, jordan_totient
 from .errors import BudgetExceededError, ConsistencyError, DomainError
-from .ramanujan import _capped_valuation, _prime_power_sum, ramanujan_classic
+from .ramanujan import _capped_valuation, _prime_power_sum, cohen_ramanujan
 
 # Ceiling on the (n/d)**s slots scanned to enumerate one class C(d).
 DEFAULT_CLASS_BUDGET = 10**6
@@ -213,7 +213,7 @@ def count_units_rademacher(n: int, k: int, b: int) -> int:
     """
     if n < 1 or k < 1:
         raise DomainError(f"count_units_rademacher requires n, k >= 1, got n={n} k={k}")
-    num, den = euler_phi(n) ** k, n
+    num, den = jordan_totient(n, 1) ** k, n
     for p, _ in factorize(n):
         # 1 - (-1)**j / (p - 1)**j with j = k - 1 when p | b, else j = k
         j = k - 1 if b % p == 0 else k
@@ -232,7 +232,7 @@ def count_units_nicol(n: int, k: int, b: int) -> int:
         raise DomainError(f"count_units_nicol requires n, k >= 1, got n={n} k={k}")
     total = 0
     for d in divisors(n):
-        total += ramanujan_classic(d, b) * ramanujan_classic(n, n // d) ** k
+        total += cohen_ramanujan(d, 1, b) * cohen_ramanujan(n, 1, n // d) ** k
     DIVISIBILITY_STATS["checked"] += 1
     if total % n != 0:
         DIVISIBILITY_STATS["failed"] += 1

@@ -30,26 +30,23 @@ def _matching_tuples(instance: CongruenceInstance, budget: int = DEFAULT_TUPLE_B
     """Iterator over the admissible tuples that solve `instance`, lexicographically.
 
     The tuple space, the product of the class sizes J_s(n / t_i), is
-    checked against `budget` before any class is enumerated, and so is
-    the (n / t_i)**s scan that enumerates each class.  Class member
-    lists are ascending, so the odometer order of itertools.product is
-    exactly lexicographic order on the tuples.
+    checked against `budget` before any class is enumerated; the check
+    stops at the first partial product past it, the empty product 1
+    included.  Each class is then enumerated under the same budget.
+    Class member lists are ascending, so the odometer order of
+    itertools.product is exactly lexicographic order on the tuples.
     """
     n, s, ts = instance.n, instance.s, instance.restrictions
-    # (n / t)**s bounds the class size J_s(n / t) from above.  The exact
-    # sizes cost a factorization each, so they are only taken when the
-    # bound passes the budget, and only until their product does.
-    if math.prod((n // t) ** s for t in ts) > budget:
-        total_tuples = 1
-        for t in ts:
-            if total_tuples > budget:
-                break
-            total_tuples *= jordan_totient(n // t, s)
+    total_tuples = 1
+    for t in ts:
         if total_tuples > budget:
-            raise BudgetExceededError(
-                f"the tuple space holds at least {total_tuples} tuples, past the "
-                f"enumeration budget {budget}; use convolution_count instead"
-            )
+            break
+        total_tuples *= jordan_totient(n // t, s)
+    if total_tuples > budget:
+        raise BudgetExceededError(
+            f"the tuple space holds at least {total_tuples} tuples, past the "
+            f"enumeration budget {budget}; use convolution_count instead"
+        )
     member_lists = [class_members(n, s, t, budget) for t in ts]
     modulus = instance.modulus
     target = instance.b
@@ -106,16 +103,15 @@ def class_character_sum(
     return complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
 
 
-def cohen_ramanujan_direct(
-    r: int, s: int, n: int, budget: int = DEFAULT_DIRECT_BUDGET, tol: float = DIRECT_TOLERANCE
-) -> int:
+def cohen_ramanujan_direct(r: int, s: int, n: int, budget: int = DEFAULT_DIRECT_BUDGET) -> int:
     """c_{r,s}(n) straight from the exponential definition.
 
     The j in [1, r**s] with (j, r**s)_s == 1 are the class C(1) of r, so
     this is class_character_sum(r, s, 1, n), whose r**s-slot scan
     `budget` caps, snapped to the nearest integer.  A residual (imaginary
-    part or distance to that integer) at or above `tol` means the exact
-    path and this one cannot both be right, so it raises ConsistencyError.
+    part or distance to that integer) at or above DIRECT_TOLERANCE means
+    the exact path and this one cannot both be right, so it raises
+    ConsistencyError.
     """
     if r < 1:
         raise DomainError(f"cohen_ramanujan_direct requires r >= 1, got {r}")
@@ -123,6 +119,7 @@ def cohen_ramanujan_direct(
         raise DomainError(f"cohen_ramanujan_direct requires s >= 1, got {s}")
     total = class_character_sum(r, s, 1, n, budget)
     nearest = round(total.real)
+    tol = DIRECT_TOLERANCE
     if abs(total.imag) >= tol or abs(total.real - nearest) >= tol:
         raise ConsistencyError(
             f"direct sum for c_{{{r},{s}}}({n}) = {total!r} is not within {tol} of an integer"

@@ -1,4 +1,4 @@
-"""Classic and generalized Ramanujan sums.
+"""Generalized Ramanujan sums; s == 1 gives the classic ones.
 
 The generalized sum over the s-th-power coprime residues is
 
@@ -62,8 +62,3 @@ def cohen_ramanujan(r: int, s: int, n: int) -> int:
     for p, a in factorize(r):
         value *= _prime_power_sum(p, a, s, _capped_valuation(n, p**s, a))
     return value
-
-
-def ramanujan_classic(r: int, n: int) -> int:
-    """The classic Ramanujan sum c_r(n), i.e. c_{r,1}(n)."""
-    return cohen_ramanujan(r, 1, n)

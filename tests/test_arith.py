@@ -7,7 +7,6 @@ from rescong.arith import (
     FACTORIZE_LIMIT,
     GeneralizedGcd,
     divisors,
-    euler_phi,
     factorize,
     generalized_gcd,
     jordan_totient,
@@ -121,23 +120,19 @@ class TestEulerPhi:
 
     @pytest.mark.parametrize("n,expected", [(1, 1), (4, 2), (12, 4)])
     def test_known(self, n, expected):
-        assert euler_phi(n) == expected
+        assert jordan_totient(n, 1) == expected
         assert self.scan_phi(n) == expected
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 97])
     def test_prime(self, p):
-        assert euler_phi(p) == p - 1
+        assert jordan_totient(p, 1) == p - 1
 
     @given(st.integers(min_value=1, max_value=500))
     def test_matches_scan(self, n):
-        assert euler_phi(n) == self.scan_phi(n)
+        assert jordan_totient(n, 1) == self.scan_phi(n)
 
 
 class TestJordanTotient:
-    def test_reduces_to_phi_at_s_one(self):
-        for n in range(1, 201):
-            assert jordan_totient(n, 1) == euler_phi(n)
-
     @pytest.mark.parametrize("n,s,expected", [(4, 2, 12), (2, 2, 3), (1, 5, 1)])
     def test_known(self, n, s, expected):
         assert jordan_totient(n, s) == expected

@@ -398,6 +398,33 @@ class TestUsageErrors:
         assert code == 1
         assert "usage error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--n", "4", "--s", "2", "--b", "5", "--t", "1,"],
+            ["count", "--n", "4", "--s", "2", "--b", "5", "--t", "1,,2"],
+            ["verify", "--max-n", "2", "--s", "1,", "--max-k", "1"],
+        ],
+    )
+    def test_empty_list_entry_exits_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:")
+
+    def test_dash_is_the_empty_list(self, capsys, monkeypatch):
+        # The verify reproducer prints --t - for k == 0; fed back, it counts.
+        real = congruence.count_restricted
+        monkeypatch.setattr(congruence, "count_restricted", lambda inst: real(inst) + 1)
+        _, out, _ = run_cli(capsys, "verify", "--max-n", "1", "--s", "1", "--max-k", "0")
+        reproducer = out.splitlines()[-2].split()
+        assert reproducer[:3] == ["reproduce:", "rescong", "count"]
+        assert reproducer[reproducer.index("--t") + 1] == "-"
+        monkeypatch.undo()
+        code, out, _ = run_cli(capsys, *reproducer[2:])
+        assert code == 0
+        assert out.splitlines() == ["n=1 s=1 b=0 t=- modulus=1 engine=brute", "count = 1"]
+
     def test_g_length_mismatch_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "count", "--n", "4", "--s", "2", "--b", "5", "--g", "1,1")
         assert code == 1
@@ -489,6 +516,19 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "count = 3" in proc.stdout
+
+
+def test_console_script_target(monkeypatch, capsys):
+    with open(os.path.join(REPO_ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+        module, attr = re.search(r'^rescong = "([\w.]+):(\w+)"$', fh.read(), re.M).groups()
+    fn = getattr(importlib.import_module(module), attr)
+    argv = ["rescong", "count", "--n", "4", "--s", "2", "--b", "5", "--t", "1,2"]
+    monkeypatch.setattr(sys, "argv", argv)
+    # What the generated console-script wrapper does.
+    with pytest.raises(SystemExit) as exc:
+        sys.exit(fn())
+    assert exc.value.code == 0
+    assert "count = 3" in capsys.readouterr().out.splitlines()
 
 
 def test_cli_import_footprint():

@@ -56,6 +56,20 @@ class TestBruteForce:
         with pytest.raises(BudgetExceededError, match=r"C\(1\)"):
             brute_force_count(inst, budget=13)
 
+    def test_budget_checks_class_sizes_not_slots(self):
+        # (6/1)**1 * (6/1)**1 = 36 slots, but only J_1(6)**2 = 4 tuples.
+        assert brute_force_count(CongruenceInstance(6, 1, 0, (1, 1)), budget=10) == 2
+
+    def test_budget_error_names_first_partial_product_past_budget(self):
+        # J_1(6) = 2 per unknown: partial products 2, 4, 8, 16; 16 > 10.
+        inst = CongruenceInstance(6, 1, 0, (1,) * 5)
+        with pytest.raises(BudgetExceededError, match="at least 16 tuples"):
+            brute_force_count(inst, budget=10)
+        # The empty product 1 is already past a budget of 0, even at k == 0.
+        for ts in ((), (1, 1)):
+            with pytest.raises(BudgetExceededError, match="at least 1 tuples"):
+                brute_force_count(CongruenceInstance(6, 1, 0, ts), budget=0)
+
 
 class TestConvolution:
     def test_worked_example(self):

@@ -3,14 +3,11 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from rescong.arith import euler_phi, generalized_gcd, jordan_totient
+from rescong import oracle
+from rescong.arith import generalized_gcd, jordan_totient
 from rescong.errors import BudgetExceededError, ConsistencyError, DomainError
 from rescong.oracle import cohen_ramanujan_direct
-from rescong.ramanujan import (
-    _mobius_divisor_sum,
-    cohen_ramanujan,
-    ramanujan_classic,
-)
+from rescong.ramanujan import _mobius_divisor_sum, cohen_ramanujan
 
 # the five sums behind the worked mod-16 computation, plus small anchors
 KNOWN_VALUES = [
@@ -60,17 +57,13 @@ def test_rejects_bad_arguments():
 class TestClassic:
     def test_at_zero_is_phi(self):
         for r in range(1, 31):
-            assert ramanujan_classic(r, 0) == euler_phi(r)
+            phi = sum(1 for j in range(1, r + 1) if math.gcd(j, r) == 1)
+            assert cohen_ramanujan(r, 1, 0) == phi
 
     def test_direct_summation_anchors(self):
         # c_2(1) = e(1/2) = -1; c_6(1) = e(1/6) + e(5/6) = 2cos(pi/3) = 1
-        assert ramanujan_classic(2, 1) == -1
-        assert ramanujan_classic(6, 1) == 1
-
-    def test_matches_cohen_at_s_one(self):
-        for r in range(1, 31):
-            for n in range(-60, 61):
-                assert ramanujan_classic(r, n) == cohen_ramanujan(r, 1, n)
+        assert cohen_ramanujan(2, 1, 1) == -1
+        assert cohen_ramanujan(6, 1, 1) == 1
 
 
 class TestDirectOracle:
@@ -90,10 +83,11 @@ class TestDirectOracle:
         assume(r**s <= 5000)
         assert cohen_ramanujan_direct(r, s, m) == cohen_ramanujan(r, s, m)
 
-    def test_impossible_tolerance_raises(self):
+    def test_impossible_tolerance_raises(self, monkeypatch):
         # float round-off alone keeps the residual above an absurd bound
+        monkeypatch.setattr(oracle, "DIRECT_TOLERANCE", 1e-300)
         with pytest.raises(ConsistencyError):
-            cohen_ramanujan_direct(3, 1, 1, tol=1e-300)
+            cohen_ramanujan_direct(3, 1, 1)
 
 
 class TestStructure:

@@ -23,7 +23,7 @@ def test_sweep_config_defaults():
 
 def test_reports_start_clean_and_do_not_share_lists():
     first, second = SweepReport(space=3, checked=0, subsampled=False), PropertyReport()
-    assert first.ok and second.ok and first.elapsed_ms == 0.0 and second.checks == 0
+    assert first.ok and second.ok and second.checks == 0
     first.mismatches.append({"n": 1})
     second.failures.append("x")
     assert not first.ok and not second.ok
@@ -56,6 +56,12 @@ def test_power_below_one_is_domain_error():
     # A negative power would reach range(n**-1) in iter_instances.
     with pytest.raises(DomainError, match="s >= 1"):
         engine_sweep(SweepConfig(max_n=3, s_values=(1, -1), max_k=2))
+
+
+def test_negative_cap_is_domain_error():
+    # random.sample would otherwise refuse it with a bare ValueError.
+    with pytest.raises(DomainError, match="cap >= 0"):
+        engine_sweep(SweepConfig(max_n=3, cap=-1))
 
 
 def test_sweep_detects_corrupted_formula(monkeypatch):
