@@ -100,6 +100,8 @@ def jordan_totient(n: int, s: int) -> int:
 def generalized_gcd(a: int, b: int, s: int) -> GeneralizedGcd:
     """The largest l**s dividing both a and b; (a, b)_1 is the usual gcd.
 
+    Only s >= 2 factors the gcd, so the factorization limit binds there.
+
     Signs are ignored (divisibility is sign-blind) and one argument may
     be zero, in which case every integer divides it and the other
     argument decides the answer.  Both zero is undefined.
@@ -109,6 +111,8 @@ def generalized_gcd(a: int, b: int, s: int) -> GeneralizedGcd:
     if a == 0 and b == 0:
         raise DomainError("generalized_gcd requires at least one nonzero argument")
     g = math.gcd(abs(a), abs(b))
+    if s == 1:
+        return GeneralizedGcd(base=g, power=1, value=g)
     base = 1
     for p, e in factorize(g):
         if e >= s:

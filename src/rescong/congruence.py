@@ -12,7 +12,10 @@ assigned to C(d_j), the number of solutions is
                      * prod(c_{n/d_j, s}(n**s / d**s) ** g_j for all j)
                      for d | n)
 
-evaluated here entirely in exact integers.  The pre-division sum is
+evaluated here entirely in exact integers.  n is factored once, and
+every c_{r,s} in the sum is a product, over p**e || n, of entries of
+one table of Cohen's prime-power sums per prime, built per call
+(`rescong.ramanujan.prime_power_table`).  The pre-division sum is
 provably a multiple of n**s; `count_restricted` enforces that on every
 call and raises ConsistencyError on violation, since a failure can only
 mean a bug.
@@ -28,10 +31,11 @@ import itertools
 import math
 from collections import Counter, namedtuple
 from functools import lru_cache
+from operator import getitem
 
 from .arith import divisors, factorize, jordan_totient
 from .errors import BudgetExceededError, ConsistencyError, DomainError
-from .ramanujan import _capped_valuation, _prime_power_sum, cohen_ramanujan
+from .ramanujan import capped_valuation, cohen_ramanujan, prime_power_table
 
 # Ceiling on the (n/d)**s slots scanned to enumerate one class C(d).
 DEFAULT_CLASS_BUDGET = 10**6
@@ -132,37 +136,32 @@ def class_members(n: int, s: int, d: int, budget: int = DEFAULT_CLASS_BUDGET) ->
 def fourier_numerator(instance: CongruenceInstance) -> int:
     """Pre-division sum of the counting formula; always a multiple of n**s.
 
-    n is factored once.  Each divisor d of n is its exponent vector, and
-    every Ramanujan value is a product of prime-power sums read off
-    exponents: at p**e || n the argument b enters through
-    min(v_p(b) // s, e), and n**s / d**s through e - v_p(d).
+    n is factored once and each prime p**e || n gets one table of Cohen's
+    prime-power sums, entry [a][j] = c_{p**a,s}(m) at level
+    j = min(v_p(m) // s, e) (`prime_power_table`).  A divisor d of n is
+    its exponent vector, and every Ramanujan value in the sum is a
+    product of one entry per prime: c_{d,s}(b) reads row v_p(d) at the
+    level of b, and c_{n/t,s}(n**s / d**s) reads row e - v_p(t) at level
+    e - v_p(d).  The tables live for one call only.
     """
     n, s = instance.n, instance.s
     primes = factorize(n)
-
-    def ramanujan_at(exponents, levels) -> int:
-        # c_{r,s}(m) for r = prod(p**a_p), given level_p = min(v_p(m) // s, e_p)
-        value = 1
-        for (p, _), a, level in zip(primes, exponents, levels):
-            if a:
-                value *= _prime_power_sum(p, a, s, min(level, a))
-        return value
-
-    b_levels = [_capped_valuation(instance.b, p**s, e) for p, e in primes]
-    # One entry per distinct restriction t: the exponents of n / t and
-    # the number g of unknowns pinned to it.
+    tables = [prime_power_table(p, e, s) for p, e in primes]
+    b_levels = [capped_valuation(instance.b, p**s, e) for p, e in primes]
+    # One entry per distinct restriction t: its table row at each prime
+    # (the exponent there of n / t) and the number g of unknowns pinned to it.
     groups = [
-        ([e - _capped_valuation(t, p, e) for p, e in primes], g)
+        ([table[e - capped_valuation(t, p, e)] for (p, e), table in zip(primes, tables)], g)
         for t, g in Counter(instance.restrictions).items()
     ]
     total = 0
     for d_exps in itertools.product(*(range(e + 1) for _, e in primes)):
-        term = ramanujan_at(d_exps, b_levels)
+        term = math.prod(map(getitem, map(getitem, tables, d_exps), b_levels))
         arg_levels = [e - dp for (_, e), dp in zip(primes, d_exps)]
-        for r_exps, g in groups:
+        for rows, g in groups:
             if term == 0:
                 break
-            term *= ramanujan_at(r_exps, arg_levels) ** g
+            term *= math.prod(map(getitem, rows, arg_levels)) ** g
         total += term
     return total
 

@@ -11,12 +11,13 @@ multiplicative in r, with the prime-power form
     c_{p**a,s}(n) = [p**(a*s) | n] * p**(a*s) - [p**((a-1)*s) | n] * p**((a-1)*s)
 
 so production evaluation factors r alone and reads n only through
-min(v_p(n) // s, a) at each p**a || r.  Negative arguments, periodicity
-mod r**s and arguments far past the factorization limit need no special
-case.  Everything here is exact integer arithmetic.  The Moebius divisor
-sum (`_mobius_divisor_sum`) is an exact reference independent of that
-form; the exponential definition itself is evaluated in floating point
-by `rescong.oracle.cohen_ramanujan_direct`.
+min(v_p(n) // s, a) at each p**a || r; `prime_power_table` lays those
+values out for every a <= e at one prime.  Negative arguments,
+periodicity mod r**s and arguments far past the factorization limit
+need no special case.  Everything here is exact integer arithmetic.
+The Moebius divisor sum (`_mobius_divisor_sum`) is an exact reference
+independent of that form; the exponential definition itself is
+evaluated in floating point by `rescong.oracle.cohen_ramanujan_direct`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .arith import divisors, factorize, mobius
 from .errors import DomainError
 
 
-def _capped_valuation(m: int, q: int, cap: int) -> int:
+def capped_valuation(m: int, q: int, cap: int) -> int:
     """min(v_q(m), cap) for q >= 2; m == 0 gives cap."""
     j = 0
     while j < cap and m % q == 0:
@@ -40,6 +41,23 @@ def _prime_power_sum(p: int, a: int, s: int, j: int) -> int:
         return 0
     low = p ** ((a - 1) * s)
     return low * p**s - low if j == a else -low
+
+
+def prime_power_table(p: int, e: int, s: int) -> list[list[int]]:
+    """c_{p**a,s}(m) for 0 <= a <= e at every level j = min(v_p(m) // s, e).
+
+    Entry [a][j]; row a == 0 is all ones.  Row a >= 1 is Cohen's form laid
+    out by level, the values `_prime_power_sum` returns one at a time: 0
+    below a - 1, -p**((a-1)*s) at a - 1, and p**(a*s) - p**((a-1)*s) from
+    a up.  Filled directly, since a count builds the tables on every call.
+    """
+    q = p**s
+    table = [[1] * (e + 1)]
+    low = 1
+    for a in range(1, e + 1):
+        table.append([0] * (a - 1) + [-low] + [low * q - low] * (e + 1 - a))
+        low *= q
+    return table
 
 
 def _mobius_divisor_sum(r: int, s: int, m: int) -> int:
@@ -60,5 +78,5 @@ def cohen_ramanujan(r: int, s: int, n: int) -> int:
         raise DomainError(f"cohen_ramanujan requires s >= 1, got {s}")
     value = 1
     for p, a in factorize(r):
-        value *= _prime_power_sum(p, a, s, _capped_valuation(n, p**s, a))
+        value *= _prime_power_sum(p, a, s, capped_valuation(n, p**s, a))
     return value

@@ -78,6 +78,12 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
     When the grid exceeds cfg.cap, a reproducible random subsample of
     exactly cfg.cap instances (seeded by cfg.seed) is checked instead.
     """
+    if cfg.max_n < 1:
+        raise DomainError(f"engine_sweep requires max_n >= 1, got {cfg.max_n}")
+    if cfg.max_k < 0:
+        raise DomainError(f"engine_sweep requires max_k >= 0, got {cfg.max_k}")
+    if not cfg.s_values:
+        raise DomainError("engine_sweep requires at least one power s")
     for s in cfg.s_values:
         if s < 1:
             raise DomainError(f"engine_sweep requires every power s >= 1, got {s}")

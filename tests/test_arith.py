@@ -168,6 +168,13 @@ class TestGeneralizedGcd:
             return
         assert generalized_gcd(a, b, 1).value == math.gcd(abs(a), abs(b))
 
+    def test_s_one_needs_no_factorization(self):
+        # the gcd 2 * 10**12 lies past FACTORIZE_LIMIT
+        g = generalized_gcd(4 * 10**12, 6 * 10**12, 1)
+        assert g == GeneralizedGcd(base=2 * 10**12, power=1, value=2 * 10**12)
+        prime_square = 1_000_003**2
+        assert generalized_gcd(prime_square, 0, 1).value == prime_square
+
     def test_exhaustive_scan_equivalence(self):
         for s in (1, 2, 3):
             for a in range(1, 65):

@@ -208,6 +208,16 @@ class TestGgcd:
         assert code == 0
         assert "= 7" in out
 
+    def test_plain_gcd_past_factorization_limit(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "ggcd", "--a", "4000000000000", "--b", "6000000000000", "--s", "1"
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "(4000000000000, 6000000000000)_1 = 2000000000000",
+            "base l = 2000000000000",
+        ]
+
     def test_both_zero_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "ggcd", "--a", "0", "--b", "0", "--s", "2")
         assert code == 1
@@ -310,6 +320,19 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "s >= 1" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--max-n", "-5"), "max_n >= 1"),
+            (("--max-n", "2", "--max-k", "-1"), "max_k >= 0"),
+        ],
+    )
+    def test_empty_grid_exits_one(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err
 
 
 class TestBench:

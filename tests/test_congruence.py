@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from rescong.congruence import (
     fourier_numerator,
 )
 from rescong.errors import BudgetExceededError, DomainError
+from rescong.ramanujan import cohen_ramanujan
 
 WORKED = CongruenceInstance(n=4, s=2, b=5, restrictions=(1, 2))
 
@@ -277,6 +280,46 @@ def count_by_local_convolution(instance):
         local = tuple(math.gcd(t, q) for t in instance.restrictions)
         out *= convolution_count(CongruenceInstance(q, s, instance.b, local))
     return out
+
+
+def numerator_literally(instance):
+    """The paper's pre-division sum with every factor a cohen_ramanujan call."""
+    n, s, b = instance.n, instance.s, instance.b
+    groups = Counter(instance.restrictions)
+    total = 0
+    for d in divisors(n):
+        term = cohen_ramanujan(d, s, b)
+        for t, g in groups.items():
+            term *= cohen_ramanujan(n // t, s, n**s // d**s) ** g
+        total += term
+    return total
+
+
+class TestNumeratorDifferential:
+    """fourier_numerator against the sum written out term by term."""
+
+    @pytest.mark.parametrize("n", [720720, 360360, 55440, 5040])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_divisor_heavy_moduli(self, n, s):
+        # b = 0 and b = g * u for a unit u, with g fixed per k
+        rng = random.Random(n * 10 + s)
+        divs = divisors(n)
+        for k, g in [(1, 1), (16, 6), (251, 60)]:
+            ts = tuple(rng.choice(divs) for _ in range(k))
+            u = rng.randrange(n**s // g)
+            while math.gcd(u, n) != 1:
+                u += 1
+            for b in (0, g * u):
+                inst = CongruenceInstance(n, s, b, ts)
+                assert fourier_numerator(inst) == numerator_literally(inst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 200), st.integers(1, 3), st.integers(-(10**9), 10**9), st.data())
+    def test_small_moduli(self, n, s, b, data):
+        divs = divisors(n)
+        ts = data.draw(st.lists(st.sampled_from(divs), max_size=4))
+        inst = CongruenceInstance(n, s, b, ts)
+        assert fourier_numerator(inst) == numerator_literally(inst)
 
 
 class TestLargeModulus:

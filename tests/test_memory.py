@@ -1,10 +1,17 @@
 import gc
 import importlib
 import pkgutil
+import random
 import tracemalloc
 
 import rescong
-from rescong.congruence import _class_members, class_members
+from rescong.arith import divisors
+from rescong.congruence import (
+    CongruenceInstance,
+    _class_members,
+    class_members,
+    fourier_numerator,
+)
 
 
 def test_every_memo_is_bounded():
@@ -55,3 +62,27 @@ def test_small_classes_hit_the_memo():
     first = class_members(8, 2, 1)
     assert class_members(8, 2, 1) == first
     assert _class_members.cache_info().hits == 1
+
+
+def test_numerator_keeps_nothing_between_calls():
+    # Every call draws 1000 fresh restrictions over the 240 divisors, so
+    # keeping any per-call state, such as the table rows picked for each
+    # distinct restriction (tens of KB a call), outgrows 64 KB in 20 calls.
+    rng = random.Random(5)
+    divs = divisors(720720)
+    instances = [
+        CongruenceInstance(720720, 2, 1, tuple(rng.choice(divs) for _ in range(1000)))
+        for _ in range(21)
+    ]
+    fourier_numerator(instances.pop())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for inst in instances:
+            assert fourier_numerator(inst) % inst.modulus == 0
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 1024

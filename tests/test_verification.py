@@ -64,6 +64,26 @@ def test_negative_cap_is_domain_error():
         engine_sweep(SweepConfig(max_n=3, cap=-1))
 
 
+@pytest.mark.parametrize(
+    "cfg,message",
+    [
+        (SweepConfig(max_n=-5), "max_n >= 1"),
+        (SweepConfig(max_n=0), "max_n >= 1"),
+        (SweepConfig(max_n=2, max_k=-1), "max_k >= 0"),
+        (SweepConfig(s_values=()), "at least one power"),
+    ],
+)
+def test_empty_grid_bounds_are_domain_errors(cfg, message):
+    # Such a grid holds no instance, so a sweep over it would report ok.
+    with pytest.raises(DomainError, match=message):
+        engine_sweep(cfg)
+
+
+def test_smallest_grid_still_checks_one_instance():
+    report = engine_sweep(SweepConfig(max_n=1, s_values=(1,), max_k=0))
+    assert report.ok and report.checked == report.space == 1
+
+
 def test_sweep_detects_corrupted_formula(monkeypatch):
     real = congruence.count_restricted
 
