@@ -19,10 +19,6 @@ one table of Cohen's prime-power sums per prime, built per call
 provably a multiple of n**s; `count_restricted` enforces that on every
 call and raises ConsistencyError on violation, since a failure can only
 mean a bug.
-
-The classic units-only and unrestricted counts at s == 1 (Lehmer's gcd
-criterion, the Rademacher-Brauer prime product, the Nicol-Vandiver
-Ramanujan-sum form) are included for cross-validation.
 """
 
 from __future__ import annotations
@@ -33,9 +29,9 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 from operator import getitem
 
-from .arith import divisors, factorize, jordan_totient
+from .arith import divisors, factorize
 from .errors import BudgetExceededError, ConsistencyError, DomainError
-from .ramanujan import capped_valuation, cohen_ramanujan, prime_power_table
+from .ramanujan import capped_valuation, prime_power_table
 
 # Ceiling on the (n/d)**s slots scanned to enumerate one class C(d).
 DEFAULT_CLASS_BUDGET = 10**6
@@ -184,56 +180,3 @@ def count_restricted(instance: CongruenceInstance) -> int:
     if count < 0:
         raise ConsistencyError(f"negative solution count {count} for {instance}")
     return count
-
-
-def count_unrestricted_lehmer(coefficients, b: int, n: int) -> int:
-    """Unrestricted count of a_1*x_1 + ... + a_k*x_k == b (mod n) over Z_n**k.
-
-    Solvable iff l | b for l = gcd(a_1, ..., a_k, n), and then there are
-    exactly l * n**(k-1) solutions.
-    """
-    if n < 1:
-        raise DomainError(f"modulus n must be >= 1, got {n}")
-    coeffs = tuple(coefficients)
-    if not coeffs:
-        raise DomainError("count_unrestricted_lehmer requires at least one coefficient")
-    l = math.gcd(n, *(abs(a) for a in coeffs))
-    if b % l != 0:
-        return 0
-    return l * n ** (len(coeffs) - 1)
-
-
-def count_units_rademacher(n: int, k: int, b: int) -> int:
-    """Units-only count of x_1 + ... + x_k == b (mod n) as a prime product.
-
-    phi(n)**k / n times one factor per prime p | n, the factor depending
-    on whether p divides b.  The product is carried as one numerator
-    over one denominator; it is provably integral and returned as an int.
-    """
-    if n < 1 or k < 1:
-        raise DomainError(f"count_units_rademacher requires n, k >= 1, got n={n} k={k}")
-    num, den = jordan_totient(n, 1) ** k, n
-    for p, _ in factorize(n):
-        # 1 - (-1)**j / (p - 1)**j with j = k - 1 when p | b, else j = k
-        j = k - 1 if b % p == 0 else k
-        num *= (p - 1) ** j - (-1) ** j
-        den *= (p - 1) ** j
-    if num % den != 0:
-        raise ConsistencyError(
-            f"units count came out non-integral ({num}/{den}) for n={n} k={k} b={b}"
-        )
-    return num // den
-
-
-def count_units_nicol(n: int, k: int, b: int) -> int:
-    """Units-only count as (1/n) * sum(c_d(b) * c_n(n/d)**k for d | n)."""
-    if n < 1 or k < 1:
-        raise DomainError(f"count_units_nicol requires n, k >= 1, got n={n} k={k}")
-    total = 0
-    for d in divisors(n):
-        total += cohen_ramanujan(d, 1, b) * cohen_ramanujan(n, 1, n // d) ** k
-    DIVISIBILITY_STATS["checked"] += 1
-    if total % n != 0:
-        DIVISIBILITY_STATS["failed"] += 1
-        raise ConsistencyError(f"Ramanujan-sum total {total} is not divisible by n = {n}")
-    return total // n

@@ -15,14 +15,14 @@ min(v_p(n) // s, a) at each p**a || r; `prime_power_table` lays those
 values out for every a <= e at one prime.  Negative arguments,
 periodicity mod r**s and arguments far past the factorization limit
 need no special case.  Everything here is exact integer arithmetic.
-The Moebius divisor sum (`_mobius_divisor_sum`) is an exact reference
-independent of that form; the exponential definition itself is
-evaluated in floating point by `rescong.oracle.cohen_ramanujan_direct`.
+The tests hold an exact reference independent of that form, the Moebius
+divisor sum in `tests/reference.py`; the exponential definition itself
+is evaluated in floating point by `rescong.oracle.cohen_ramanujan_direct`.
 """
 
 from __future__ import annotations
 
-from .arith import divisors, factorize, mobius
+from .arith import factorize
 from .errors import DomainError
 
 
@@ -46,28 +46,17 @@ def _prime_power_sum(p: int, a: int, s: int, j: int) -> int:
 def prime_power_table(p: int, e: int, s: int) -> list[list[int]]:
     """c_{p**a,s}(m) for 0 <= a <= e at every level j = min(v_p(m) // s, e).
 
-    Entry [a][j]; row a == 0 is all ones.  Row a >= 1 is Cohen's form laid
-    out by level, the values `_prime_power_sum` returns one at a time: 0
-    below a - 1, -p**((a-1)*s) at a - 1, and p**(a*s) - p**((a-1)*s) from
-    a up.  Filled directly, since a count builds the tables on every call.
+    Entry [a][j]; row a == 0 is all ones.  Row a >= 1 reads
+    `_prime_power_sum` at levels j <= a, and every level above a reads
+    as a.  Plain loops, since a count builds the tables on every call.
     """
-    q = p**s
     table = [[1] * (e + 1)]
-    low = 1
     for a in range(1, e + 1):
-        table.append([0] * (a - 1) + [-low] + [low * q - low] * (e + 1 - a))
-        low *= q
+        row = []
+        for j in range(a + 1):
+            row.append(_prime_power_sum(p, a, s, j))
+        table.append(row + row[-1:] * (e - a))
     return table
-
-
-def _mobius_divisor_sum(r: int, s: int, m: int) -> int:
-    """sum(mobius(r // d) * d**s for d | r with d**s | m); m == 0 admits all d."""
-    total = 0
-    for d in divisors(r):
-        ds = d**s
-        if m % ds == 0:
-            total += mobius(r // d) * ds
-    return total
 
 
 def cohen_ramanujan(r: int, s: int, n: int) -> int:

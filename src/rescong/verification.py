@@ -11,7 +11,6 @@ c_{r,s}, and collapse of c_{e,s} under gcd with any n**s for e | n.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import namedtuple
 
@@ -61,15 +60,34 @@ def instance_space_size(cfg: SweepConfig) -> int:
     return total
 
 
-def iter_instances(cfg: SweepConfig):
-    """All instances in the grid, ascending by (n, s, k, t, b)."""
+def _grid_instances(cfg: SweepConfig, positions):
+    """Instances at ascending grid positions, in grid order (n, s, k, t, b).
+
+    Each position is unranked in mixed radix inside its (n, s, k) block:
+    b is the innermost digit and t the base-tau digits above it, the last
+    one varying fastest.  The cost is one step per position and per
+    block, not one per instance of the grid.
+    """
+    positions = iter(positions)
+    pos = next(positions, None)
+    start = 0
     for n in range(1, cfg.max_n + 1):
         divs = divisors(n)
+        tau = len(divs)
         for s in sorted(set(cfg.s_values)):
+            ns = n**s
             for k in range(cfg.max_k + 1):
-                for t in itertools.product(divs, repeat=k):
-                    for b in range(n**s):
-                        yield CongruenceInstance(n=n, s=s, b=b, restrictions=t)
+                block, start = start, start + tau**k * ns
+                while pos is not None and pos < start:
+                    rank, b = divmod(pos - block, ns)
+                    t = []
+                    for _ in range(k):
+                        rank, digit = divmod(rank, tau)
+                        t.append(divs[digit])
+                    yield CongruenceInstance(n=n, s=s, b=b, restrictions=reversed(t))
+                    pos = next(positions, None)
+                if pos is None:
+                    return
 
 
 def engine_sweep(cfg: SweepConfig) -> SweepReport:
@@ -91,13 +109,11 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
         raise DomainError(f"engine_sweep requires cap >= 0, got {cfg.cap}")
     space = instance_space_size(cfg)
     subsampled = space > cfg.cap
-    keep = None
+    positions = range(space)
     if subsampled:
-        keep = set(random.Random(cfg.seed).sample(range(space), cfg.cap))
+        positions = sorted(random.Random(cfg.seed).sample(positions, cfg.cap))
     report = SweepReport(space=space, checked=0, subsampled=subsampled)
-    for idx, inst in enumerate(iter_instances(cfg)):
-        if keep is not None and idx not in keep:
-            continue
+    for inst in _grid_instances(cfg, positions):
         formula = congruence.count_restricted(inst)
         brute = oracle.brute_force_count(inst)
         conv = oracle.convolution_count(inst)

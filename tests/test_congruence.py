@@ -13,13 +13,12 @@ from rescong.congruence import (
     class_members,
     class_profile,
     count_restricted,
-    count_units_nicol,
-    count_units_rademacher,
-    count_unrestricted_lehmer,
     fourier_numerator,
 )
 from rescong.errors import BudgetExceededError, DomainError
 from rescong.ramanujan import cohen_ramanujan
+
+from reference import count_units_nicol, count_units_rademacher, count_unrestricted_lehmer
 
 WORKED = CongruenceInstance(n=4, s=2, b=5, restrictions=(1, 2))
 

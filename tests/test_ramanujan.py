@@ -7,7 +7,9 @@ from rescong import oracle
 from rescong.arith import generalized_gcd, jordan_totient
 from rescong.errors import BudgetExceededError, ConsistencyError, DomainError
 from rescong.oracle import cohen_ramanujan_direct
-from rescong.ramanujan import _mobius_divisor_sum, cohen_ramanujan, prime_power_table
+from rescong.ramanujan import cohen_ramanujan, prime_power_table
+
+from reference import _mobius_divisor_sum
 
 # the five sums behind the worked mod-16 computation, plus small anchors
 KNOWN_VALUES = [
@@ -47,13 +49,16 @@ def test_zero_argument_gives_jordan_totient():
 
 @pytest.mark.parametrize("p,e,s", [(2, 4, 1), (3, 2, 2), (5, 1, 3), (13, 1, 2), (2, 6, 2)])
 def test_prime_power_table_entries(p, e, s):
-    # m = p**(s*j) sits at level j, and m = 0 at the top level e
+    # m = p**(s*j) sits at level j, and m = 0 at the top level e.  The table
+    # and cohen_ramanujan share _prime_power_sum, so the Moebius divisor sum
+    # is the independent check on every entry.
     table = prime_power_table(p, e, s)
     assert len(table) == e + 1 and table[0] == [1] * (e + 1)
     for a in range(e + 1):
         assert len(table[a]) == e + 1
         for j in range(e + 1):
-            assert table[a][j] == cohen_ramanujan(p**a, s, p ** (s * j))
+            m = p ** (s * j)
+            assert table[a][j] == cohen_ramanujan(p**a, s, m) == _mobius_divisor_sum(p**a, s, m)
         assert table[a][e] == _mobius_divisor_sum(p**a, s, 0)
 
 

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from rescong import congruence
+from rescong import congruence, oracle, verification
 from rescong.errors import DomainError
 from rescong.verification import (
     DEFAULT_INSTANCE_CAP,
@@ -9,9 +11,10 @@ from rescong.verification import (
     SweepReport,
     engine_sweep,
     instance_space_size,
-    iter_instances,
     identity_suites,
 )
+
+from reference import iter_instances
 
 
 def test_sweep_config_defaults():
@@ -52,8 +55,64 @@ def test_subsample_is_capped_and_reproducible():
     assert first.mismatches == second.mismatches == []
 
 
+def record_sweep(monkeypatch, cfg):
+    """Instances engine_sweep checks, in order, with every engine stubbed out."""
+    seen = []
+
+    def formula(inst):
+        seen.append(inst)
+        return 0
+
+    monkeypatch.setattr(congruence, "count_restricted", formula)
+    monkeypatch.setattr(oracle, "brute_force_count", lambda inst: 0)
+    monkeypatch.setattr(oracle, "convolution_count", lambda inst: 0)
+    report = engine_sweep(cfg)
+    assert report.ok and report.checked == len(seen)
+    return seen
+
+
+def reference_picks(cfg):
+    """The sweep's instances from a full walk of the grid in order."""
+    space = instance_space_size(cfg)
+    if space <= cfg.cap:
+        return list(iter_instances(cfg))
+    keep = set(random.Random(cfg.seed).sample(range(space), cfg.cap))
+    return [inst for idx, inst in enumerate(iter_instances(cfg)) if idx in keep]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SweepConfig(max_n=8, s_values=(1, 2), max_k=3, seed=11, cap=9000),
+        SweepConfig(),
+        SweepConfig(max_n=5, s_values=(3, 1, 1), max_k=2, seed=3, cap=200),
+        SweepConfig(max_n=7, s_values=(2,), max_k=0, seed=1, cap=20),
+    ],
+)
+def test_sweep_picks_match_reference_walk(monkeypatch, cfg):
+    picks = reference_picks(cfg)
+    assert record_sweep(monkeypatch, cfg) == picks
+    assert len(picks) == min(cfg.cap, instance_space_size(cfg))
+
+
+def test_subsample_builds_only_the_instances_it_checks(monkeypatch):
+    # The grid holds about 11.3 million instances; building them all takes
+    # tens of seconds, so the counter stops a walk over the grid early.
+    cfg = SweepConfig(max_n=30, s_values=(1, 2), max_k=4, cap=10)
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(None)
+        assert len(built) <= cfg.cap, "engine_sweep builds instances it does not check"
+        return congruence.CongruenceInstance(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "CongruenceInstance", counting)
+    assert len(record_sweep(monkeypatch, cfg)) == cfg.cap
+    assert len(built) == cfg.cap
+
+
 def test_power_below_one_is_domain_error():
-    # A negative power would reach range(n**-1) in iter_instances.
+    # A negative power would make n**s, and so the grid size, a float that range refuses.
     with pytest.raises(DomainError, match="s >= 1"):
         engine_sweep(SweepConfig(max_n=3, s_values=(1, -1), max_k=2))
 
