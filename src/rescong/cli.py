@@ -168,23 +168,12 @@ def cmd_verify(args) -> _Reply:
     s_values = tuple(_parse_int_list(args.s, "--s"))
     if not s_values:
         raise _UsageError("--s expects at least one power, e.g. --s 1,2")
-    cfg = SweepConfig(
-        max_n=args.max_n,
-        s_values=s_values,
-        max_k=args.max_k,
-        seed=args.seed,
-        **_budget(args, "cap"),
-    )
+    cfg = SweepConfig(args.max_n, s_values, args.max_k, args.seed, **_budget(args, "cap"))
     sweep = engine_sweep(cfg)
     props = identity_suites()
     ok = sweep.ok and props.ok
-    params = {
-        "max_n": args.max_n,
-        "s": list(s_values),
-        "max_k": args.max_k,
-        "seed": args.seed,
-        "cap": cfg.cap,
-    }
+    params = cfg._asdict()
+    params["s"] = list(params.pop("s_values"))
     result = {
         "ok": ok,
         "instances_checked": sweep.checked,
@@ -219,6 +208,7 @@ def cmd_verify(args) -> _Reply:
 
 def _median_timing(fn, reps: int):
     """(value, median_ms) over reps runs, or (None, None) past a budget."""
+    from statistics import median  # only bench pays for the import
     times = []
     value = None
     for _ in range(reps):
@@ -228,9 +218,7 @@ def _median_timing(fn, reps: int):
         except BudgetExceededError:
             return None, None
         times.append((time.perf_counter() - t0) * 1000.0)
-    times.sort()
-    mid = reps // 2
-    return value, times[mid] if reps % 2 else (times[mid - 1] + times[mid]) / 2
+    return value, median(times)
 
 
 def cmd_bench(args) -> _Reply:

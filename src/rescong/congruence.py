@@ -104,11 +104,14 @@ _MEMO_SLOTS = 4096
 def _class_members(n: int, s: int, d: int) -> tuple[int, ...]:
     # x = d**s * y sweeps C(d) exactly as y runs over [1, (n/d)**s]
     # avoiding p**s | y for every prime p of n/d.  (Primes at full
-    # multiplicity in d impose no condition on y.)
+    # multiplicity in d impose no condition on y.)  A sieve over the
+    # slots y = 0 .. (n/d)**s strikes y = 0 and each multiple of a p**s.
     m = n // d
-    ds = d**s
-    blocked = [p**s for p, _ in factorize(m)]
-    return tuple(ds * y for y in range(1, m**s + 1) if all(y % q for q in blocked))
+    ms, ds = m**s, d**s
+    keep = bytearray(1) + b"\x01" * ms
+    for p, _ in factorize(m):
+        keep[:: p**s] = bytes(ms // p**s + 1)
+    return tuple(itertools.compress(range(0, ds * (ms + 1), ds), keep))
 
 
 def class_members(n: int, s: int, d: int, budget: int = DEFAULT_CLASS_BUDGET) -> list[int]:

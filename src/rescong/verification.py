@@ -11,11 +11,12 @@ c_{r,s}, and collapse of c_{e,s} under gcd with any n**s for e | n.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import namedtuple
 
 from . import congruence, oracle
-from .arith import divisors, generalized_gcd
+from .arith import divisors, factorize, generalized_gcd
 from .congruence import CongruenceInstance
 from .errors import DomainError
 from .ramanujan import cohen_ramanujan
@@ -51,50 +52,11 @@ class PropertyReport:
         return not self.failures
 
 
-def instance_space_size(cfg: SweepConfig) -> int:
-    total = 0
-    for n in range(1, cfg.max_n + 1):
-        tau = len(divisors(n))
-        tuple_count = sum(tau**k for k in range(cfg.max_k + 1))
-        total += sum(tuple_count * n**s for s in set(cfg.s_values))
-    return total
+def _blocks(cfg: SweepConfig):
+    """(n, s, k, size = tau(n)**k * n**s) per block, in grid order.
 
-
-def _grid_instances(cfg: SweepConfig, positions):
-    """Instances at ascending grid positions, in grid order (n, s, k, t, b).
-
-    Each position is unranked in mixed radix inside its (n, s, k) block:
-    b is the innermost digit and t the base-tau digits above it, the last
-    one varying fastest.  The cost is one step per position and per
-    block, not one per instance of the grid.
-    """
-    positions = iter(positions)
-    pos = next(positions, None)
-    start = 0
-    for n in range(1, cfg.max_n + 1):
-        divs = divisors(n)
-        tau = len(divs)
-        for s in sorted(set(cfg.s_values)):
-            ns = n**s
-            for k in range(cfg.max_k + 1):
-                block, start = start, start + tau**k * ns
-                while pos is not None and pos < start:
-                    rank, b = divmod(pos - block, ns)
-                    t = []
-                    for _ in range(k):
-                        rank, digit = divmod(rank, tau)
-                        t.append(divs[digit])
-                    yield CongruenceInstance(n=n, s=s, b=b, restrictions=reversed(t))
-                    pos = next(positions, None)
-                if pos is None:
-                    return
-
-
-def engine_sweep(cfg: SweepConfig) -> SweepReport:
-    """Tripartite formula == brute force == convolution check over the grid.
-
-    When the grid exceeds cfg.cap, a reproducible random subsample of
-    exactly cfg.cap instances (seeded by cfg.seed) is checked instead.
+    An empty grid, or a power below one, is a DomainError.  tau(n) comes
+    from the exponents of n, so no divisor is listed.
     """
     if cfg.max_n < 1:
         raise DomainError(f"engine_sweep requires max_n >= 1, got {cfg.max_n}")
@@ -105,9 +67,56 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
     for s in cfg.s_values:
         if s < 1:
             raise DomainError(f"engine_sweep requires every power s >= 1, got {s}")
+    powers = sorted(set(cfg.s_values))
+    for n in range(1, cfg.max_n + 1):
+        tau = math.prod(e + 1 for _, e in factorize(n))
+        for s in powers:
+            for k in range(cfg.max_k + 1):
+                yield n, s, k, tau**k * n**s
+
+
+def instance_space_size(cfg: SweepConfig) -> int:
+    return sum(size for *_, size in _blocks(cfg))
+
+
+def _grid_instances(cfg: SweepConfig, positions):
+    """Instances at ascending grid positions, in grid order (n, s, k, t, b).
+
+    Each position is unranked in mixed radix inside its (n, s, k) block:
+    b is the innermost digit and t the base-tau digits above it, the last
+    one varying fastest.  The cost is one step per position and per
+    block; divisors are listed only for a block that holds a position.
+    """
+    positions = iter(positions)
+    pos = next(positions, None)
+    start = 0
+    for n, s, k, size in _blocks(cfg):
+        if pos is None:
+            return
+        block, start = start, start + size
+        if pos >= start:
+            continue
+        divs = divisors(n)
+        tau, ns = len(divs), n**s
+        while pos is not None and pos < start:
+            rank, b = divmod(pos - block, ns)
+            t = []
+            for _ in range(k):
+                rank, digit = divmod(rank, tau)
+                t.append(divs[digit])
+            yield CongruenceInstance(n=n, s=s, b=b, restrictions=reversed(t))
+            pos = next(positions, None)
+
+
+def engine_sweep(cfg: SweepConfig) -> SweepReport:
+    """Tripartite formula == brute force == convolution check over the grid.
+
+    When the grid exceeds cfg.cap, a reproducible random subsample of
+    exactly cfg.cap instances (seeded by cfg.seed) is checked instead.
+    """
+    space = instance_space_size(cfg)
     if cfg.cap < 0:
         raise DomainError(f"engine_sweep requires cap >= 0, got {cfg.cap}")
-    space = instance_space_size(cfg)
     subsampled = space > cfg.cap
     positions = range(space)
     if subsampled:

@@ -136,7 +136,7 @@ class TestClassMembers:
         assert class_members(4, 2, 2) == [4, 8, 12]
         assert class_members(4, 2, 4) == [16]
 
-    @pytest.mark.parametrize("n,s", [(1, 1), (2, 2), (4, 2), (6, 1), (6, 2), (8, 1), (9, 2), (12, 1), (12, 2)])
+    @pytest.mark.parametrize("n,s", [(1, 1), (2, 2), (4, 2), (6, 1), (6, 2), (8, 1), (9, 2), (12, 1), (12, 2), (72, 2)])
     def test_matches_definition_scan(self, n, s):
         for d in divisors(n):
             assert class_members(n, s, d) == members_by_scan(n, s, d)

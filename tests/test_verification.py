@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rescong import congruence, oracle, verification
+from rescong.arith import divisors
 from rescong.errors import DomainError
 from rescong.verification import (
     DEFAULT_INSTANCE_CAP,
@@ -111,10 +112,28 @@ def test_subsample_builds_only_the_instances_it_checks(monkeypatch):
     assert len(built) == cfg.cap
 
 
+def test_sizing_lists_no_divisors(monkeypatch):
+    # Sizing the grid needs only tau(n); divisors are listed for a block
+    # only when a sampled position falls in it.
+    cfg = SweepConfig(max_n=2000, s_values=(1,), max_k=1, cap=10)
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return divisors(n)
+
+    monkeypatch.setattr(verification, "divisors", counting)
+    assert len(record_sweep(monkeypatch, cfg)) == cfg.cap
+    assert len(calls) <= cfg.cap
+
+
 def test_power_below_one_is_domain_error():
     # A negative power would make n**s, and so the grid size, a float that range refuses.
+    cfg = SweepConfig(max_n=3, s_values=(1, -1), max_k=2)
     with pytest.raises(DomainError, match="s >= 1"):
-        engine_sweep(SweepConfig(max_n=3, s_values=(1, -1), max_k=2))
+        engine_sweep(cfg)
+    with pytest.raises(DomainError, match="s >= 1"):
+        instance_space_size(cfg)
 
 
 def test_negative_cap_is_domain_error():
@@ -136,6 +155,8 @@ def test_empty_grid_bounds_are_domain_errors(cfg, message):
     # Such a grid holds no instance, so a sweep over it would report ok.
     with pytest.raises(DomainError, match=message):
         engine_sweep(cfg)
+    with pytest.raises(DomainError, match=message):
+        instance_space_size(cfg)
 
 
 def test_smallest_grid_still_checks_one_instance():
