@@ -32,7 +32,7 @@ from .congruence import CongruenceInstance, class_members, count_restricted
 from .errors import BudgetExceededError, DomainError
 from .oracle import _matching_tuples, brute_force_count, convolution_count
 from .ramanujan import cohen_ramanujan
-from .verification import SweepConfig, engine_sweep, identity_suites
+from .verification import SweepConfig, engine_sweep
 
 ENGINES = ("formula", "brute", "convolution")
 
@@ -170,24 +170,22 @@ def cmd_verify(args) -> _Reply:
         raise _UsageError("--s expects at least one power, e.g. --s 1,2")
     cfg = SweepConfig(args.max_n, s_values, args.max_k, args.seed, **_budget(args, "cap"))
     sweep = engine_sweep(cfg)
-    props = identity_suites()
-    ok = sweep.ok and props.ok
     params = cfg._asdict()
     params["s"] = list(params.pop("s_values"))
     result = {
-        "ok": ok,
+        "ok": sweep.ok,
         "instances_checked": sweep.checked,
         "instance_space": sweep.space,
         "subsampled": sweep.subsampled,
         "mismatches": sweep.mismatches,
-        "identity_checks": props.checks,
-        "identity_failures": props.failures,
+        "identity_checks": sweep.identity_checks,
+        "identity_failures": sweep.identity_failures,
     }
     mode = "subsampled" if sweep.subsampled else "exhaustive"
     lines = [
         f"engine sweep: {sweep.checked} instances checked "
         f"(space {sweep.space}, {mode}), {len(sweep.mismatches)} mismatches",
-        f"identity suites: {props.checks} checks, {len(props.failures)} failures",
+        f"identity suites: {sweep.identity_checks} checks, {len(sweep.identity_failures)} failures",
     ]
     for miss in sweep.mismatches[:10]:
         lines.append(
@@ -195,14 +193,14 @@ def cmd_verify(args) -> _Reply:
             f"t={_t_display(tuple(miss['t']))} formula={miss['formula']} "
             f"brute={miss['brute_force']} convolution={miss['convolution']}"
         )
-    lines += [f"FAILURE {failure}" for failure in props.failures[:10]]
+    lines += [f"FAILURE {failure}" for failure in sweep.identity_failures[:10]]
     if sweep.mismatches:
         first = sweep.mismatches[0]
         lines.append(
             f"reproduce: rescong count --n {first['n']} --s {first['s']} "
             f"--b {first['b']} --t {_t_display(tuple(first['t']))} --engine brute"
         )
-    lines.append("ok" if ok else "MISMATCH DETECTED")
+    lines.append("ok" if sweep.ok else "MISMATCH DETECTED")
     return params, result, lines
 
 

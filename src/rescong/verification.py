@@ -1,22 +1,24 @@
-"""Cross-engine agreement sweeps and the exhaustive property suites.
+"""Cross-engine agreement sweep with the structural identities on its way.
 
 `engine_sweep` walks a grid of restricted-congruence instances in
 canonical order (ascending n, s, k, restriction tuple, b) and demands
 that the closed form, brute-force enumeration, and cyclic convolution
-all return the same count.  `identity_suites` exhaustively checks the
-structural identities the closed form rests on: periodicity of the
-generalized gcd, argument reduction / periodicity / reflection of
-c_{r,s}, and collapse of c_{e,s} under gcd with any n**s for e | n.
+all return the same count.  On each k = 1 instance (n, s, b, (t,)) it
+also checks the identities the closed form rests on, with r = n/t and
+m = b: (m, n**s)_s is n**s-periodic in m, and c_{r,s}(m) equals its
+value at (m, n**s)_s, at m + r**s and at -m.  The (t, b) cells of the
+k = 1 blocks are the (r, m) cells for r | n, so an exhaustive sweep
+checks each such cell once and a subsample checks the cells it draws.
 """
 
 from __future__ import annotations
 
-import math
 import random
+import sys
 from collections import namedtuple
 
 from . import congruence, oracle
-from .arith import divisors, factorize, generalized_gcd
+from .arith import divisors, generalized_gcd
 from .congruence import CongruenceInstance
 from .errors import DomainError
 from .ramanujan import cohen_ramanujan
@@ -36,27 +38,19 @@ class SweepReport:
         self.checked = checked
         self.subsampled = subsampled
         self.mismatches: list[dict] = []
+        self.identity_checks = 0
+        self.identity_failures: list[str] = []
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches
-
-
-class PropertyReport:
-    def __init__(self) -> None:
-        self.checks = 0
-        self.failures: list[str] = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+        return not self.mismatches and not self.identity_failures
 
 
 def _blocks(cfg: SweepConfig):
     """(n, s, k, size = tau(n)**k * n**s) per block, in grid order.
 
     An empty grid, or a power below one, is a DomainError.  tau(n) comes
-    from the exponents of n, so no divisor is listed.
+    from one divisor-count sieve, so nothing is factored or listed.
     """
     if cfg.max_n < 1:
         raise DomainError(f"engine_sweep requires max_n >= 1, got {cfg.max_n}")
@@ -68,11 +62,14 @@ def _blocks(cfg: SweepConfig):
         if s < 1:
             raise DomainError(f"engine_sweep requires every power s >= 1, got {s}")
     powers = sorted(set(cfg.s_values))
+    tau = [0] * (cfg.max_n + 1)
+    for d in range(1, cfg.max_n + 1):
+        for multiple in range(d, cfg.max_n + 1, d):
+            tau[multiple] += 1
     for n in range(1, cfg.max_n + 1):
-        tau = math.prod(e + 1 for _, e in factorize(n))
         for s in powers:
             for k in range(cfg.max_k + 1):
-                yield n, s, k, tau**k * n**s
+                yield n, s, k, tau[n] ** k * n**s
 
 
 def instance_space_size(cfg: SweepConfig) -> int:
@@ -108,11 +105,29 @@ def _grid_instances(cfg: SweepConfig, positions):
             pos = next(positions, None)
 
 
+def _identity_failures(inst: CongruenceInstance) -> list[str]:
+    """The structural identities that fail at a k = 1 instance, by name."""
+    (t,) = inst.restrictions
+    n, s, m, ns = inst.n, inst.s, inst.b, inst.modulus
+    r = n // t
+    reduced = generalized_gcd(m, ns, s).value
+    value = cohen_ramanujan(r, s, m)
+    held = {
+        "ggcd periodicity": generalized_gcd(m + ns, ns, s).value == reduced,
+        "argument reduction": cohen_ramanujan(r, s, reduced) == value,
+        "periodicity": cohen_ramanujan(r, s, m + r**s) == value,
+        "reflection": cohen_ramanujan(r, s, -m) == value,
+    }
+    return [f"{name}: n={n} s={s} r={r} m={m}" for name, holds in held.items() if not holds]
+
+
 def engine_sweep(cfg: SweepConfig) -> SweepReport:
     """Tripartite formula == brute force == convolution check over the grid.
 
     When the grid exceeds cfg.cap, a reproducible random subsample of
     exactly cfg.cap instances (seeded by cfg.seed) is checked instead.
+    Every k = 1 instance checked also runs the four structural identity
+    checks of `_identity_failures`.
     """
     space = instance_space_size(cfg)
     if cfg.cap < 0:
@@ -120,9 +135,19 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
     subsampled = space > cfg.cap
     positions = range(space)
     if subsampled:
+        if space > sys.maxsize:
+            # Sized by bits: the decimal form of a huge size can pass
+            # the interpreter's 4300-digit cap on int -> str.
+            raise DomainError(
+                f"engine_sweep cannot subsample a grid of at least "
+                f"2**{space.bit_length() - 1} instances (more than sys.maxsize = {sys.maxsize})"
+            )
         positions = sorted(random.Random(cfg.seed).sample(positions, cfg.cap))
     report = SweepReport(space=space, checked=0, subsampled=subsampled)
     for inst in _grid_instances(cfg, positions):
+        if inst.k == 1:
+            report.identity_checks += 4
+            report.identity_failures += _identity_failures(inst)
         formula = congruence.count_restricted(inst)
         brute = oracle.brute_force_count(inst)
         conv = oracle.convolution_count(inst)
@@ -140,44 +165,3 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
                 }
             )
     return report
-
-
-def identity_suites() -> PropertyReport:
-    """Exhaustive structural identity checks at their documented ranges."""
-    rep = PropertyReport()
-
-    # (a, b)_s is b-periodic in its first argument.
-    for s in (1, 2, 3):
-        for a in range(1, 201):
-            for b in range(1, 201):
-                rep.checks += 1
-                if generalized_gcd(a + b, b, s).value != generalized_gcd(a, b, s).value:
-                    rep.failures.append(f"ggcd b-periodicity: a={a} b={b} s={s}")
-
-    # c_{r,s}(n): collapse to the reduced argument, period r**s, reflection.
-    for r in range(1, 13):
-        for s in (1, 2, 3):
-            rs = r**s
-            for n in range(rs):
-                value = cohen_ramanujan(r, s, n)
-                reduced = generalized_gcd(n, rs, s).value
-                rep.checks += 3
-                if value != cohen_ramanujan(r, s, reduced):
-                    rep.failures.append(f"argument reduction: r={r} s={s} n={n}")
-                if value != cohen_ramanujan(r, s, n + rs):
-                    rep.failures.append(f"periodicity: r={r} s={s} n={n}")
-                if value != cohen_ramanujan(r, s, -n):
-                    rep.failures.append(f"reflection: r={r} s={s} n={n}")
-
-    # For e | n, c_{e,s}(m) only sees (m, n**s)_s.
-    for n in range(1, 25):
-        for s in (1, 2):
-            ns = n**s
-            for e in divisors(n):
-                for m in range(1, ns + 1):
-                    rep.checks += 1
-                    collapsed = generalized_gcd(m, ns, s).value
-                    if cohen_ramanujan(e, s, m) != cohen_ramanujan(e, s, collapsed):
-                        rep.failures.append(f"(n,s)-evenness: n={n} s={s} e={e} m={m}")
-
-    return rep

@@ -4,9 +4,10 @@ None of this is on the engine's path.  It holds the classic s == 1
 counts that the paper's restricted count generalizes (Lehmer's gcd
 criterion, the Rademacher-Brauer prime product, the Nicol-Vandiver
 Ramanujan-sum form), the Moebius divisor sum for c_{r,s}, which shares
-nothing with Cohen's prime-power form, and the full grid walk that
-fixes the order in which `rescong.verification.engine_sweep` visits
-instances.
+nothing with Cohen's prime-power form, the full grid walk that fixes
+the order in which `rescong.verification.engine_sweep` visits
+instances, and the structural identity suites at fixed ranges, which
+`engine_sweep` checks only on the k = 1 instances of its grid.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from rescong.arith import divisors, factorize, jordan_totient, mobius
+from rescong.arith import divisors, factorize, generalized_gcd, jordan_totient, mobius
 from rescong.congruence import CongruenceInstance
 from rescong.errors import ConsistencyError, DomainError
 from rescong.ramanujan import cohen_ramanujan
@@ -90,3 +91,54 @@ def iter_instances(cfg):
                 for t in itertools.product(divs, repeat=k):
                     for b in range(n**s):
                         yield CongruenceInstance(n=n, s=s, b=b, restrictions=t)
+
+
+class PropertyReport:
+    def __init__(self) -> None:
+        self.checks = 0
+        self.failures: list[str] = []
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def identity_suites() -> PropertyReport:
+    """Exhaustive structural identity checks at their documented ranges."""
+    rep = PropertyReport()
+
+    # (a, b)_s is b-periodic in its first argument.
+    for s in (1, 2, 3):
+        for a in range(1, 201):
+            for b in range(1, 201):
+                rep.checks += 1
+                if generalized_gcd(a + b, b, s).value != generalized_gcd(a, b, s).value:
+                    rep.failures.append(f"ggcd b-periodicity: a={a} b={b} s={s}")
+
+    # c_{r,s}(n): collapse to the reduced argument, period r**s, reflection.
+    for r in range(1, 13):
+        for s in (1, 2, 3):
+            rs = r**s
+            for n in range(rs):
+                value = cohen_ramanujan(r, s, n)
+                reduced = generalized_gcd(n, rs, s).value
+                rep.checks += 3
+                if value != cohen_ramanujan(r, s, reduced):
+                    rep.failures.append(f"argument reduction: r={r} s={s} n={n}")
+                if value != cohen_ramanujan(r, s, n + rs):
+                    rep.failures.append(f"periodicity: r={r} s={s} n={n}")
+                if value != cohen_ramanujan(r, s, -n):
+                    rep.failures.append(f"reflection: r={r} s={s} n={n}")
+
+    # For e | n, c_{e,s}(m) only sees (m, n**s)_s.
+    for n in range(1, 25):
+        for s in (1, 2):
+            ns = n**s
+            for e in divisors(n):
+                for m in range(1, ns + 1):
+                    rep.checks += 1
+                    collapsed = generalized_gcd(m, ns, s).value
+                    if cohen_ramanujan(e, s, m) != cohen_ramanujan(e, s, collapsed):
+                        rep.failures.append(f"(n,s)-evenness: n={n} s={s} e={e} m={m}")
+
+    return rep

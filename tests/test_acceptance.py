@@ -18,9 +18,9 @@ from rescong.arith import divisors
 from rescong.congruence import CongruenceInstance, count_restricted, fourier_numerator
 from rescong.oracle import class_character_sum, cohen_ramanujan_direct, enumerate_solutions
 from rescong.ramanujan import cohen_ramanujan
-from rescong.verification import SweepConfig, engine_sweep, identity_suites
+from rescong.verification import SweepConfig, engine_sweep
 
-from reference import count_units_nicol, count_units_rademacher
+from reference import count_units_nicol, count_units_rademacher, identity_suites
 
 WORKED = CongruenceInstance(n=4, s=2, b=5, restrictions=(1, 2))
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rescong import cli, congruence
+from rescong import cli, congruence, verification
 from rescong.arith import divisors
 from rescong.cli import canonical_json, main
 
@@ -314,6 +314,35 @@ class TestVerify:
         rec = json.loads(out)
         assert rec["params"]["cap"] == 0
         assert rec["result"]["instances_checked"] == 0
+        assert rec["result"]["identity_checks"] == 0
+
+    def test_broken_reflection_exits_two(self, capsys, monkeypatch):
+        real = verification.cohen_ramanujan
+        monkeypatch.setattr(
+            verification, "cohen_ramanujan", lambda r, s, m: real(r, s, m) + (m < 0)
+        )
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 2
+        assert any(line.startswith("FAILURE reflection") for line in out.splitlines())
+        assert out.splitlines()[-1] == "MISMATCH DETECTED"
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == 2
+        rec = json.loads(out)
+        assert rec["result"]["ok"] is False and rec["result"]["mismatches"] == []
+        assert rec["result"]["identity_failures"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--max-n", "8", "--max-k", "40", "--budget", "5"),
+            ("--max-n", "3", "--s", "40", "--max-k", "1", "--budget", "3"),
+        ],
+    )
+    def test_subsample_past_maxsize_exits_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "sys.maxsize" in err
 
     def test_power_below_one_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--max-n", "3", "--s", "1,-1", "--max-k", "2")

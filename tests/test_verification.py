@@ -1,21 +1,20 @@
 import random
+import sys
 
 import pytest
 
-from rescong import congruence, oracle, verification
+from rescong import arith, congruence, oracle, verification
 from rescong.arith import divisors
 from rescong.errors import DomainError
 from rescong.verification import (
     DEFAULT_INSTANCE_CAP,
-    PropertyReport,
     SweepConfig,
     SweepReport,
     engine_sweep,
     instance_space_size,
-    identity_suites,
 )
 
-from reference import iter_instances
+from reference import PropertyReport, identity_suites, iter_instances
 
 
 def test_sweep_config_defaults():
@@ -56,6 +55,13 @@ def test_subsample_is_capped_and_reproducible():
     assert first.mismatches == second.mismatches == []
 
 
+def stub_engines(monkeypatch):
+    """Every engine answers 0, so a sweep runs only its identity checks."""
+    monkeypatch.setattr(congruence, "count_restricted", lambda inst: 0)
+    monkeypatch.setattr(oracle, "brute_force_count", lambda inst: 0)
+    monkeypatch.setattr(oracle, "convolution_count", lambda inst: 0)
+
+
 def record_sweep(monkeypatch, cfg):
     """Instances engine_sweep checks, in order, with every engine stubbed out."""
     seen = []
@@ -64,9 +70,8 @@ def record_sweep(monkeypatch, cfg):
         seen.append(inst)
         return 0
 
+    stub_engines(monkeypatch)
     monkeypatch.setattr(congruence, "count_restricted", formula)
-    monkeypatch.setattr(oracle, "brute_force_count", lambda inst: 0)
-    monkeypatch.setattr(oracle, "convolution_count", lambda inst: 0)
     report = engine_sweep(cfg)
     assert report.ok and report.checked == len(seen)
     return seen
@@ -179,6 +184,86 @@ def test_sweep_detects_corrupted_formula(monkeypatch):
     bad = report.mismatches[0]
     assert bad["n"] == 2 and bad["s"] == 1 and bad["b"] == 0
     assert bad["formula"] != bad["brute_force"] == bad["convolution"]
+
+
+def test_exhaustive_grid_checks_identities_on_every_k1_instance(monkeypatch):
+    stub_engines(monkeypatch)
+    cfg = SweepConfig()
+    single = sum(1 for inst in iter_instances(cfg) if inst.k == 1)
+    report = engine_sweep(cfg)
+    assert report.ok and not report.subsampled
+    assert report.identity_checks == 4 * single == 1304
+    assert report.identity_failures == []
+
+
+def test_subsampled_grid_checks_identities_on_sampled_k1_instances(monkeypatch):
+    stub_engines(monkeypatch)
+    cfg = SweepConfig(max_n=5, s_values=(3, 1, 1), max_k=2, seed=3, cap=200)
+    single = sum(1 for inst in reference_picks(cfg) if inst.k == 1)
+    report = engine_sweep(cfg)
+    assert report.subsampled and report.ok
+    assert 0 < single < sum(1 for inst in iter_instances(cfg) if inst.k == 1)
+    assert report.identity_checks == 4 * single
+
+
+def test_sweep_without_k1_instances_checks_no_identity():
+    report = engine_sweep(SweepConfig(max_n=4, s_values=(1, 2), max_k=0))
+    assert report.ok and report.checked == report.space
+    assert report.identity_checks == 0
+
+
+def test_sweep_detects_broken_reflection(monkeypatch):
+    real = verification.cohen_ramanujan
+
+    def odd_for_negatives(r, s, m):
+        return real(r, s, m) + (1 if m < 0 else 0)
+
+    monkeypatch.setattr(verification, "cohen_ramanujan", odd_for_negatives)
+    report = engine_sweep(SweepConfig(max_n=3, s_values=(1,), max_k=1))
+    assert not report.ok and report.mismatches == []
+    # Every k = 1 instance with m = b > 0 fails, tau(n) * (n - 1) of them
+    # for n = 2, 3; m = 0 reflects onto itself.
+    assert report.identity_failures[0] == "reflection: n=2 s=1 r=2 m=1"
+    assert all(f.startswith("reflection: ") for f in report.identity_failures)
+    assert len(report.identity_failures) == 2 * 1 + 2 * 2
+
+
+def test_sweep_detects_broken_gcd_periodicity(monkeypatch):
+    real = verification.generalized_gcd
+
+    def shifted_past_modulus(a, b, s):
+        value = real(a, b, s)
+        return value._replace(value=value.value + 1) if a >= b else value
+
+    monkeypatch.setattr(verification, "generalized_gcd", shifted_past_modulus)
+    report = engine_sweep(SweepConfig(max_n=2, s_values=(2,), max_k=1))
+    assert not report.ok
+    assert any(f.startswith("ggcd periodicity: n=2 s=2") for f in report.identity_failures)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SweepConfig(max_n=8, max_k=40, cap=5),
+        # 2**20000 has 6021 decimal digits, past the int -> str cap.
+        SweepConfig(max_n=2, s_values=(20000,), max_k=0, cap=1),
+    ],
+)
+def test_subsampling_past_maxsize_is_domain_error(cfg):
+    # random.sample cannot draw from a range longer than sys.maxsize.
+    space = instance_space_size(cfg)
+    assert space > sys.maxsize
+    with pytest.raises(DomainError, match=rf"at least 2\*\*{space.bit_length() - 1} instances"):
+        engine_sweep(cfg)
+
+
+def test_sizing_factors_nothing():
+    # tau(n) comes from a divisor-count sieve, so sizing neither calls
+    # factorize nor evicts what its memo holds.
+    arith.factorize.cache_clear()
+    instance_space_size(SweepConfig(max_n=2000, s_values=(1,), max_k=1, cap=10))
+    info = arith.factorize.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
 
 
 def test_identity_suites_pass_exhaustively():
