@@ -15,7 +15,12 @@ assigned to C(d_j), the number of solutions is
 evaluated here entirely in exact integers.  n is factored once, and
 every c_{r,s} in the sum is a product, over p**e || n, of entries of
 one table of Cohen's prime-power sums per prime, built per call
-(`rescong.ramanujan.prime_power_table`).  The pre-division sum is
+(`rescong.ramanujan.prime_power_table`).  Since c_{p**a,s}(m) == 0
+unless p**((a-1)*s) | m, a term is nonzero exactly when, at every p,
+v_p(d) <= cap_p = min(e, v_p(b) // s + 1, v_p(t) + 1 for every t), so
+only that box of divisors is summed.  In the worked example n = 4,
+s = 2, b = 5, t = (1, 2), b is odd, so cap_2 = 1 and d = 4 is the one
+term dropped: c_{4,2}(5) == 0.  The pre-division sum is
 provably a multiple of n**s; `count_restricted` enforces that on every
 call and raises ConsistencyError on violation, since a failure can only
 mean a bug.
@@ -132,6 +137,28 @@ def class_members(n: int, s: int, d: int, budget: int = DEFAULT_CLASS_BUDGET) ->
     return list(build(n, s, d))
 
 
+def _term_box(instance: CongruenceInstance):
+    """The box of divisors d of n whose term in the sum is nonzero.
+
+    Returns (primes, b_levels, counts, caps): the (p, e) of n, the level
+    min(v_p(b) // s, e) of b at each prime, the multiplicity of each
+    distinct t, and cap_p = min(e, level_p(b) + 1, v_p(gcd of the t) + 1).
+    Table entry [a][j] is zero exactly when j < a - 1, so c_{d,s}(b)
+    vanishes once v_p(d) > level_p(b) + 1, and c_{n/t,s}(n**s / d**s),
+    row e - v_p(t) at level e - v_p(d), once v_p(d) > v_p(t) + 1.
+    """
+    primes = factorize(instance.n)
+    b_levels = [capped_valuation(instance.b, p**instance.s, e) for p, e in primes]
+    counts = Counter(instance.restrictions)
+    common = math.gcd(*counts)  # 0 when k == 0, which caps nothing
+    # min(c, v + 1) is min(v, c - 1) + 1, so the valuation stops at c - 1.
+    caps = [
+        capped_valuation(common, p, min(e, j + 1) - 1) + 1
+        for (p, e), j in zip(primes, b_levels)
+    ]
+    return primes, b_levels, counts, caps
+
+
 def fourier_numerator(instance: CongruenceInstance) -> int:
     """Pre-division sum of the counting formula; always a multiple of n**s.
 
@@ -141,26 +168,29 @@ def fourier_numerator(instance: CongruenceInstance) -> int:
     its exponent vector, and every Ramanujan value in the sum is a
     product of one entry per prime: c_{d,s}(b) reads row v_p(d) at the
     level of b, and c_{n/t,s}(n**s / d**s) reads row e - v_p(t) at level
-    e - v_p(d).  The tables live for one call only.
+    e - v_p(d), which is entry v_p(d) of that row reversed.  The tables
+    live for one call only.
+
+    Only the divisors with v_p(d) <= cap_p at every prime are visited
+    (`_term_box`): every term outside that box has a zero factor and
+    every term inside it is nonzero, so the sum is exact and no term is
+    tested for zero.
     """
-    n, s = instance.n, instance.s
-    primes = factorize(n)
-    tables = [prime_power_table(p, e, s) for p, e in primes]
-    b_levels = [capped_valuation(instance.b, p**s, e) for p, e in primes]
-    # One entry per distinct restriction t: its table row at each prime
-    # (the exponent there of n / t) and the number g of unknowns pinned to it.
+    primes, b_levels, counts, caps = _term_box(instance)
+    tables = [prime_power_table(p, e, instance.s) for p, e in primes]
+    reversed_tables = [[row[::-1] for row in table] for table in tables]
+    # One entry per distinct restriction t: its reversed table row at each
+    # prime (the exponent there of n / t) and the number g of unknowns
+    # pinned to it.
     groups = [
-        ([table[e - capped_valuation(t, p, e)] for (p, e), table in zip(primes, tables)], g)
-        for t, g in Counter(instance.restrictions).items()
+        ([rows[e - capped_valuation(t, p, e)] for (p, e), rows in zip(primes, reversed_tables)], g)
+        for t, g in counts.items()
     ]
     total = 0
-    for d_exps in itertools.product(*(range(e + 1) for _, e in primes)):
+    for d_exps in itertools.product(*(range(cap + 1) for cap in caps)):
         term = math.prod(map(getitem, map(getitem, tables, d_exps), b_levels))
-        arg_levels = [e - dp for (_, e), dp in zip(primes, d_exps)]
         for rows, g in groups:
-            if term == 0:
-                break
-            term *= math.prod(map(getitem, rows, arg_levels)) ** g
+            term *= math.prod(map(getitem, rows, d_exps)) ** g
         total += term
     return total
 

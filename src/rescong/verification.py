@@ -13,6 +13,8 @@ checks each such cell once and a subsample checks the cells it draws.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import random
 import sys
 from collections import namedtuple
@@ -46,11 +48,13 @@ class SweepReport:
         return not self.mismatches and not self.identity_failures
 
 
-def _blocks(cfg: SweepConfig):
-    """(n, s, k, size = tau(n)**k * n**s) per block, in grid order.
+def _block_ends(cfg: SweepConfig) -> list[int]:
+    """Cumulative instance counts of the grid's (n, s, k) blocks, in grid order.
 
-    An empty grid, or a power below one, is a DomainError.  tau(n) comes
-    from one divisor-count sieve, so nothing is factored or listed.
+    Block i holds tau(n)**k * n**s instances and ends at position
+    ends[i]; `_block_key` names it.  An empty grid, or a power below
+    one, is a DomainError.  tau(n) comes from one divisor-count sieve,
+    so nothing is factored or listed.
     """
     if cfg.max_n < 1:
         raise DomainError(f"engine_sweep requires max_n >= 1, got {cfg.max_n}")
@@ -61,48 +65,54 @@ def _blocks(cfg: SweepConfig):
     for s in cfg.s_values:
         if s < 1:
             raise DomainError(f"engine_sweep requires every power s >= 1, got {s}")
-    powers = sorted(set(cfg.s_values))
     tau = [0] * (cfg.max_n + 1)
     for d in range(1, cfg.max_n + 1):
         for multiple in range(d, cfg.max_n + 1, d):
             tau[multiple] += 1
-    for n in range(1, cfg.max_n + 1):
-        for s in powers:
-            for k in range(cfg.max_k + 1):
-                yield n, s, k, tau[n] ** k * n**s
+    powers = sorted(set(cfg.s_values))
+    sizes = (
+        tau[n] ** k * n**s
+        for n in range(1, cfg.max_n + 1)
+        for s in powers
+        for k in range(cfg.max_k + 1)
+    )
+    return list(itertools.accumulate(sizes))
+
+
+def _block_key(cfg: SweepConfig, index: int) -> tuple[int, int, int]:
+    """(n, s, k) of block `index`: n outermost, then s ascending, then k."""
+    rest, k = divmod(index, cfg.max_k + 1)
+    n_index, s_index = divmod(rest, len(set(cfg.s_values)))
+    return n_index + 1, sorted(set(cfg.s_values))[s_index], k
 
 
 def instance_space_size(cfg: SweepConfig) -> int:
-    return sum(size for *_, size in _blocks(cfg))
+    return _block_ends(cfg)[-1]
 
 
-def _grid_instances(cfg: SweepConfig, positions):
+def _grid_instances(cfg: SweepConfig, ends: list[int], positions):
     """Instances at ascending grid positions, in grid order (n, s, k, t, b).
 
-    Each position is unranked in mixed radix inside its (n, s, k) block:
-    b is the innermost digit and t the base-tau digits above it, the last
-    one varying fastest.  The cost is one step per position and per
-    block; divisors are listed only for a block that holds a position.
+    `ends` is `_block_ends(cfg)`.  Each position is unranked in mixed
+    radix inside the block that a bisection of `ends` finds: b is the
+    innermost digit and t the base-tau digits above it, the last one
+    varying fastest.  Divisors are listed only for a block that holds a
+    position, once per block.
     """
-    positions = iter(positions)
-    pos = next(positions, None)
-    start = 0
-    for n, s, k, size in _blocks(cfg):
-        if pos is None:
-            return
-        block, start = start, start + size
-        if pos >= start:
-            continue
-        divs = divisors(n)
-        tau, ns = len(divs), n**s
-        while pos is not None and pos < start:
-            rank, b = divmod(pos - block, ns)
-            t = []
-            for _ in range(k):
-                rank, digit = divmod(rank, tau)
-                t.append(divs[digit])
-            yield CongruenceInstance(n=n, s=s, b=b, restrictions=reversed(t))
-            pos = next(positions, None)
+    end = 0
+    for pos in positions:
+        if pos >= end:
+            index = bisect.bisect_right(ends, pos)
+            start, end = ends[index - 1] if index else 0, ends[index]
+            n, s, k = _block_key(cfg, index)
+            divs = divisors(n)
+            tau, ns = len(divs), n**s
+        rank, b = divmod(pos - start, ns)
+        t = []
+        for _ in range(k):
+            rank, digit = divmod(rank, tau)
+            t.append(divs[digit])
+        yield CongruenceInstance(n=n, s=s, b=b, restrictions=reversed(t))
 
 
 def _identity_failures(inst: CongruenceInstance) -> list[str]:
@@ -129,7 +139,8 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
     Every k = 1 instance checked also runs the four structural identity
     checks of `_identity_failures`.
     """
-    space = instance_space_size(cfg)
+    ends = _block_ends(cfg)
+    space = ends[-1]
     if cfg.cap < 0:
         raise DomainError(f"engine_sweep requires cap >= 0, got {cfg.cap}")
     subsampled = space > cfg.cap
@@ -144,7 +155,7 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
             )
         positions = sorted(random.Random(cfg.seed).sample(positions, cfg.cap))
     report = SweepReport(space=space, checked=0, subsampled=subsampled)
-    for inst in _grid_instances(cfg, positions):
+    for inst in _grid_instances(cfg, ends, positions):
         if inst.k == 1:
             report.identity_checks += 4
             report.identity_failures += _identity_failures(inst)

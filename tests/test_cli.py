@@ -1,3 +1,4 @@
+import argparse
 import decimal
 import importlib.util
 import io
@@ -481,6 +482,43 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "count", "--n", "4", "--s", "2", "--b", "5", "--g", "1,1")
         assert code == 1
         assert "divisor" in err
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _flags(sub):
+    return [opt for action in sub._actions for opt in action.option_strings]
+
+
+class TestSubcommandFlags:
+    FLAGS = {
+        "count": ["--n", "--s", "--b", "--t", "--g", "--engine", "--budget"],
+        "ramanujan": ["--r", "--s", "--m"],
+        "ggcd": ["--a", "--b", "--s"],
+        "classes": ["--n", "--s", "--elements", "--budget"],
+        "solve": ["--n", "--s", "--b", "--t", "--g", "--limit", "--budget"],
+        "verify": ["--max-n", "--s", "--max-k", "--seed", "--budget"],
+        "bench": ["--n", "--s", "--k", "--reps", "--budget"],
+    }
+
+    def test_each_subcommand_has_its_flags(self):
+        subs = _subparsers(cli.build_parser())
+        assert list(subs) == list(self.FLAGS)
+        for name, sub in subs.items():
+            sub.add_flags()
+            sub.add_flags()  # a second call adds nothing
+            assert _flags(sub) == ["-h", "--help", *self.FLAGS[name], "--format"], name
+
+    def test_only_the_running_subcommand_gets_flags(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["ggcd", "--a", "12", "--b", "16", "--s", "2"])
+        assert (args.a, args.b, args.s, args.format) == (12, 16, 2, "text")
+        for name, sub in _subparsers(parser).items():
+            expected = ["--a", "--b", "--s", "--format"] if name == "ggcd" else []
+            assert _flags(sub) == ["-h", "--help", *expected], name
 
 
 @st.composite

@@ -10,6 +10,7 @@ from rescong.arith import divisors, generalized_gcd, jordan_totient
 from rescong.congruence import (
     ClassProfile,
     CongruenceInstance,
+    _term_box,
     class_members,
     class_profile,
     count_restricted,
@@ -281,36 +282,83 @@ def count_by_local_convolution(instance):
     return out
 
 
+def literal_term(instance, d):
+    """The term of divisor d in the paper's sum, every factor a cohen_ramanujan call."""
+    n, s = instance.n, instance.s
+    term = cohen_ramanujan(d, s, instance.b)
+    for t, g in Counter(instance.restrictions).items():
+        term *= cohen_ramanujan(n // t, s, n**s // d**s) ** g
+    return term
+
+
 def numerator_literally(instance):
     """The paper's pre-division sum with every factor a cohen_ramanujan call."""
-    n, s, b = instance.n, instance.s, instance.b
-    groups = Counter(instance.restrictions)
-    total = 0
-    for d in divisors(n):
-        term = cohen_ramanujan(d, s, b)
-        for t, g in groups.items():
-            term *= cohen_ramanujan(n // t, s, n**s // d**s) ** g
-        total += term
-    return total
+    return sum(literal_term(instance, d) for d in divisors(instance.n))
+
+
+# The warm benchmark's moduli and its (k, g) strata: k unknowns drawn
+# from the divisors and a nonzero target b = g * u for a unit u.
+WARM_NS = [720720, 360360, 55440, 5040]
+WARM_STRATA = [(1, 1), (4, 2), (16, 6), (63, 12), (251, 60)]
+
+
+def warm_instances(n, s, strata):
+    """b = 0 and b = g * u for a unit u, per (k, g) stratum."""
+    rng = random.Random(n * 10 + s)
+    divs = divisors(n)
+    for k, g in strata:
+        ts = tuple(rng.choice(divs) for _ in range(k))
+        u = rng.randrange(n**s // g)
+        while math.gcd(u, n) != 1:
+            u += 1
+        for b in (0, g * u):
+            yield CongruenceInstance(n, s, b, ts)
+
+
+def assert_box_holds_the_nonzero_terms(instance):
+    """A divisor's literal term is nonzero exactly when it lies in the box."""
+    primes, _, _, caps = _term_box(instance)
+    assert all(0 <= cap <= e for (_, e), cap in zip(primes, caps))
+    for d in divisors(instance.n):
+        inside = all(d % p ** (cap + 1) != 0 for (p, _), cap in zip(primes, caps))
+        assert (literal_term(instance, d) != 0) == inside, (instance, d, caps)
+
+
+class TestTermBox:
+    """fourier_numerator visits exactly the divisors with a nonzero term."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 200), st.integers(1, 3), st.integers(-(10**9), 10**9), st.data())
+    def test_small_moduli(self, n, s, x, data):
+        # b = c * x with c | n**s, so the level of b reaches every cap.
+        c = data.draw(st.sampled_from(divisors(n**s)))
+        ts = data.draw(st.lists(st.sampled_from(divisors(n)), max_size=4))
+        assert_box_holds_the_nonzero_terms(CongruenceInstance(n, s, c * x, ts))
+
+    @pytest.mark.parametrize("n", WARM_NS)
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_warm_moduli(self, n, s):
+        for inst in warm_instances(n, s, WARM_STRATA[:4]):
+            assert_box_holds_the_nonzero_terms(inst)
+
+    def test_worked_example_box(self):
+        # b = 5 is odd, so cap_2 = 1 at n = 4 = 2**2: d = 4 is the one term dropped.
+        assert _term_box(WORKED)[3] == [1]
+        assert_box_holds_the_nonzero_terms(WORKED)
 
 
 class TestNumeratorDifferential:
     """fourier_numerator against the sum written out term by term."""
 
-    @pytest.mark.parametrize("n", [720720, 360360, 55440, 5040])
+    @pytest.mark.parametrize("n", WARM_NS)
     @pytest.mark.parametrize("s", [1, 2])
     def test_divisor_heavy_moduli(self, n, s):
-        # b = 0 and b = g * u for a unit u, with g fixed per k
-        rng = random.Random(n * 10 + s)
-        divs = divisors(n)
-        for k, g in [(1, 1), (16, 6), (251, 60)]:
-            ts = tuple(rng.choice(divs) for _ in range(k))
-            u = rng.randrange(n**s // g)
-            while math.gcd(u, n) != 1:
-                u += 1
-            for b in (0, g * u):
-                inst = CongruenceInstance(n, s, b, ts)
-                assert fourier_numerator(inst) == numerator_literally(inst)
+        # Every warm stratum, and the largest one at the smallest n.
+        strata = list(WARM_STRATA)
+        if n == 5040:
+            strata.append((1000, 2520))
+        for inst in warm_instances(n, s, strata):
+            assert fourier_numerator(inst) == numerator_literally(inst)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 200), st.integers(1, 3), st.integers(-(10**9), 10**9), st.data())
