@@ -42,24 +42,6 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # A subcommand's parser takes `flags`, the function that adds its
-    # arguments; they are added when that parser first parses, so one
-    # invocation builds the flags of the one subcommand that runs.
-    def __init__(self, *args, flags=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._flags = flags
-
-    def add_flags(self) -> None:
-        """Add this subcommand's arguments, once; --format comes last."""
-        if self._flags is not None:
-            flags, self._flags = self._flags, None
-            flags(self)
-            self.add_argument("--format", choices=("text", "json"), default="text")
-
-    def parse_known_args(self, args=None, namespace=None):
-        self.add_flags()
-        return super().parse_known_args(args, namespace)
-
     # argparse exits with code 2 on bad flags; this CLI reserves 2 for
     # verification mismatches, so route usage problems through exit 1.
     def error(self, message):
@@ -277,84 +259,72 @@ def _add_instance_flags(sub) -> None:
     group.add_argument("--g", help="comma list of per-divisor multiplicities g_j")
 
 
-def _count_flags(p) -> None:
+def build_parser() -> _Parser:
+    parser = _Parser(prog="rescong", description=__doc__.splitlines()[0])
+    subs = parser.add_subparsers(dest="subcommand")
+
+    p = subs.add_parser("count", help="solution count for one restricted congruence")
     _add_instance_flags(p)
     p.add_argument("--engine", choices=ENGINES, default="formula")
     p.add_argument("--budget", type=int, help="override the brute or convolution engine's budget")
+    p.set_defaults(handler=cmd_count)
 
-
-def _ramanujan_flags(p) -> None:
+    p = subs.add_parser("ramanujan", help="evaluate the generalized Ramanujan sum c_{r,s}(m)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
+    p.set_defaults(handler=cmd_ramanujan)
 
-
-def _ggcd_flags(p) -> None:
+    p = subs.add_parser("ggcd", help="generalized gcd (a, b)_s")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
+    p.set_defaults(handler=cmd_ggcd)
 
-
-def _classes_flags(p) -> None:
+    p = subs.add_parser("classes", help="divisor classes of [1, n**s] and their sizes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--elements", action="store_true", help="also list the members")
     p.add_argument("--budget", type=int, help="enumeration budget for --elements")
+    p.set_defaults(handler=cmd_classes)
 
-
-def _solve_flags(p) -> None:
+    p = subs.add_parser("solve", help="list explicit solutions, lexicographically")
     _add_instance_flags(p)
     p.add_argument("--limit", type=int, default=1000)
     p.add_argument("--budget", type=int, help="tuple enumeration budget")
+    p.set_defaults(handler=cmd_solve)
 
-
-def _verify_flags(p) -> None:
+    p = subs.add_parser("verify", help="engine-agreement sweep plus identity suites")
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--s", default="1,2", help="comma list of powers to sweep")
     p.add_argument("--max-k", type=int, default=3)
     p.add_argument("--seed", type=int, default=0, help="seed for the subsample, if any")
     p.add_argument("--budget", type=int, help="instance cap before subsampling kicks in")
+    p.set_defaults(handler=cmd_verify)
 
-
-def _bench_flags(p) -> None:
+    p = subs.add_parser("bench", help="timing grid across the three engines")
     p.add_argument("--n", default="4,8,16", help="comma list of modulus bases")
     p.add_argument("--s", default="1,2", help="comma list of powers")
     p.add_argument("--k", default="2,4,8", help="comma list of unknown counts")
     p.add_argument("--reps", type=int, default=3, help="repetitions per cell (median reported)")
     p.add_argument("--budget", type=int, help="override engine budgets")
+    p.set_defaults(handler=cmd_bench)
 
-
-# (name, help, handler, flags) per subcommand, in --help order.
-_SUBCOMMANDS = (
-    ("count", "solution count for one restricted congruence", cmd_count, _count_flags),
-    ("ramanujan", "evaluate the generalized Ramanujan sum c_{r,s}(m)", cmd_ramanujan,
-     _ramanujan_flags),
-    ("ggcd", "generalized gcd (a, b)_s", cmd_ggcd, _ggcd_flags),
-    ("classes", "divisor classes of [1, n**s] and their sizes", cmd_classes, _classes_flags),
-    ("solve", "list explicit solutions, lexicographically", cmd_solve, _solve_flags),
-    ("verify", "engine-agreement sweep plus identity suites", cmd_verify, _verify_flags),
-    ("bench", "timing grid across the three engines", cmd_bench, _bench_flags),
-)
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="rescong", description=__doc__.splitlines()[0])
-    subs = parser.add_subparsers(dest="subcommand")
-    for name, help_text, handler, flags in _SUBCOMMANDS:
-        subs.add_parser(name, help=help_text, flags=flags).set_defaults(handler=handler)
+    for p in subs.choices.values():
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    # Integer flags and counts can pass the interpreter's 4300-digit int <-> str cap.
     digit_cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         if not hasattr(args, "handler"):
             parser.print_help()
             return 1
-        # Counts can run past the interpreter's 4300-digit cap on int -> str.
-        sys.set_int_max_str_digits(0)
         t0 = time.perf_counter()
         params, result, lines = args.handler(args)
         if args.format == "json":

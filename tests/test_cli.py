@@ -484,6 +484,39 @@ class TestUsageErrors:
         assert "divisor" in err
 
 
+SEVENS = "7" * 5000  # past the interpreter's 4300-digit int <-> str cap
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["count", "--n", "10", "--s", "5000", "--b", SEVENS, "--t", "1"], "count = 1"),
+        (["ramanujan", "--r", "2", "--s", "1", "--m", SEVENS], f"c_{{2,1}}({SEVENS}) = -1"),
+        (["ggcd", "--a", SEVENS, "--b", "6", "--s", "1"], f"({SEVENS}, 6)_1 = 1"),
+    ],
+    ids=["count", "ramanujan", "ggcd"],
+)
+def test_integer_flags_take_any_number_of_digits(capsys, argv, line):
+    caller_cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the smallest nonzero cap the interpreter allows
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == 640
+        assert line in out.splitlines()
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == 640
+        # params holds the flags as plain JSON integers.
+        sys.set_int_max_str_digits(0)
+        record = json.loads(out)
+        assert int(SEVENS) in record["params"].values()
+        value = record["result"].get("count", record["result"].get("value"))
+        assert line.endswith(f" = {value}")
+    finally:
+        sys.set_int_max_str_digits(caller_cap)
+
+
 def _subparsers(parser):
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices
@@ -508,17 +541,7 @@ class TestSubcommandFlags:
         subs = _subparsers(cli.build_parser())
         assert list(subs) == list(self.FLAGS)
         for name, sub in subs.items():
-            sub.add_flags()
-            sub.add_flags()  # a second call adds nothing
             assert _flags(sub) == ["-h", "--help", *self.FLAGS[name], "--format"], name
-
-    def test_only_the_running_subcommand_gets_flags(self):
-        parser = cli.build_parser()
-        args = parser.parse_args(["ggcd", "--a", "12", "--b", "16", "--s", "2"])
-        assert (args.a, args.b, args.s, args.format) == (12, 16, 2, "text")
-        for name, sub in _subparsers(parser).items():
-            expected = ["--a", "--b", "--s", "--format"] if name == "ggcd" else []
-            assert _flags(sub) == ["-h", "--help", *expected], name
 
 
 @st.composite
