@@ -8,7 +8,6 @@ Usage examples:
     rescong classes --n 4 --s 2 --elements
     rescong solve --n 4 --s 2 --b 5 --t 1,2 --limit 10
     rescong verify --max-n 6 --s 1,2 --max-k 3 --seed 0
-    rescong bench --n 4,8,16 --s 1,2 --k 2,4,8 --reps 3
 
 Exit codes: 0 success, 1 usage or domain error, 2 verification mismatch.
 
@@ -156,7 +155,7 @@ def cmd_solve(args) -> _Reply:
         raise DomainError(f"limit must be >= 1, got {args.limit}")
     # One walk: keep the first --limit solutions, count the rest.
     walk = _matching_tuples(inst, **_budget(args))
-    solutions = list(itertools.islice(walk, args.limit))
+    solutions = list(itertools.islice(walk, min(args.limit, sys.maxsize)))
     total = len(solutions) + sum(1 for _ in walk)
     params["limit"] = args.limit
     result = {"solutions": [list(sol) for sol in solutions], "count": str(total)}
@@ -180,12 +179,15 @@ def cmd_verify(args) -> _Reply:
         "mismatches": sweep.mismatches,
         "identity_checks": sweep.identity_checks,
         "identity_failures": sweep.identity_failures,
+        "engine_ms": sweep.engine_ms,
     }
     mode = "subsampled" if sweep.subsampled else "exhaustive"
     lines = [
         f"engine sweep: {sweep.checked} instances checked "
         f"(space {sweep.space}, {mode}), {len(sweep.mismatches)} mismatches",
         f"identity suites: {sweep.identity_checks} checks, {len(sweep.identity_failures)} failures",
+        "engine time: formula {formula:.3f} ms, brute force {brute_force:.3f} ms, "
+        "convolution {convolution:.3f} ms".format(**sweep.engine_ms),
     ]
     for miss in sweep.mismatches[:10]:
         lines.append(
@@ -202,52 +204,6 @@ def cmd_verify(args) -> _Reply:
         )
     lines.append("ok" if sweep.ok else "MISMATCH DETECTED")
     return params, result, lines
-
-
-def _median_timing(fn, reps: int):
-    """(value, median_ms) over reps runs, or (None, None) past a budget."""
-    from statistics import median  # only bench pays for the import
-    times = []
-    value = None
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        try:
-            value = fn()
-        except BudgetExceededError:
-            return None, None
-        times.append((time.perf_counter() - t0) * 1000.0)
-    return value, median(times)
-
-
-def cmd_bench(args) -> _Reply:
-    ns = _parse_int_list(args.n, "--n")
-    ss = _parse_int_list(args.s, "--s")
-    ks = _parse_int_list(args.k, "--k")
-    if not ns or not ss or not ks:
-        raise _UsageError("bench needs nonempty --n, --s and --k lists")
-    if args.reps < 1:
-        raise _UsageError(f"--reps must be >= 1, got {args.reps}")
-    if min(ks) < 0:
-        raise _UsageError(f"--k entries must be >= 0, got {min(ks)}")
-    budget = _budget(args)
-    rows = []
-    lines = ["n,s,k,count,formula_ms,convolution_ms,brute_ms"]
-    for n in ns:
-        for s in ss:
-            for k in ks:
-                inst = CongruenceInstance(n=n, s=s, b=0, restrictions=(1,) * k)
-                count, formula_ms = _median_timing(lambda: count_restricted(inst), args.reps)
-                _, conv_ms = _median_timing(lambda: convolution_count(inst, **budget), args.reps)
-                _, brute_ms = _median_timing(lambda: brute_force_count(inst, **budget), args.reps)
-                timings = {
-                    "formula_ms": formula_ms, "convolution_ms": conv_ms, "brute_ms": brute_ms
-                }
-                rows.append({"n": n, "s": s, "k": k, "count": str(count), **timings})
-                cells = [str(n), str(s), str(k), str(count)]
-                cells += ["" if ms is None else f"{ms:.3f}" for ms in timings.values()]
-                lines.append(",".join(cells))
-    params = {"n": ns, "s": ss, "k": ks, "reps": args.reps}
-    return params, {"rows": rows}, lines
 
 
 def _add_instance_flags(sub) -> None:
@@ -301,14 +257,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="seed for the subsample, if any")
     p.add_argument("--budget", type=int, help="instance cap before subsampling kicks in")
     p.set_defaults(handler=cmd_verify)
-
-    p = subs.add_parser("bench", help="timing grid across the three engines")
-    p.add_argument("--n", default="4,8,16", help="comma list of modulus bases")
-    p.add_argument("--s", default="1,2", help="comma list of powers")
-    p.add_argument("--k", default="2,4,8", help="comma list of unknown counts")
-    p.add_argument("--reps", type=int, default=3, help="repetitions per cell (median reported)")
-    p.add_argument("--budget", type=int, help="override engine budgets")
-    p.set_defaults(handler=cmd_bench)
 
     for p in subs.choices.values():
         p.add_argument("--format", choices=("text", "json"), default="text")

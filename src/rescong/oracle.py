@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 from .arith import jordan_totient
 from .congruence import DEFAULT_CLASS_BUDGET, CongruenceInstance, class_members
@@ -133,4 +134,4 @@ def enumerate_solutions(
     """Lexicographically first solutions, at most `limit` of them."""
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
-    return list(itertools.islice(_matching_tuples(instance, budget), limit))
+    return list(itertools.islice(_matching_tuples(instance, budget), min(limit, sys.maxsize)))

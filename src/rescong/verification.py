@@ -17,6 +17,7 @@ import bisect
 import itertools
 import random
 import sys
+import time
 from collections import namedtuple
 
 from . import congruence, oracle
@@ -42,6 +43,7 @@ class SweepReport:
         self.mismatches: list[dict] = []
         self.identity_checks = 0
         self.identity_failures: list[str] = []
+        self.engine_ms: dict[str, float] = {}
 
     @property
     def ok(self) -> bool:
@@ -58,6 +60,12 @@ def _block_ends(cfg: SweepConfig) -> list[int]:
     """
     if cfg.max_n < 1:
         raise DomainError(f"engine_sweep requires max_n >= 1, got {cfg.max_n}")
+    if cfg.max_n > sys.maxsize:
+        # The divisor-count sieve below is a list of max_n + 1 entries.
+        raise DomainError(
+            f"engine_sweep requires max_n <= sys.maxsize = {sys.maxsize}, "
+            f"got a {cfg.max_n.bit_length()}-bit max_n"
+        )
     if cfg.max_k < 0:
         raise DomainError(f"engine_sweep requires max_k >= 0, got {cfg.max_k}")
     if not cfg.s_values:
@@ -137,7 +145,8 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
     When the grid exceeds cfg.cap, a reproducible random subsample of
     exactly cfg.cap instances (seeded by cfg.seed) is checked instead.
     Every k = 1 instance checked also runs the four structural identity
-    checks of `_identity_failures`.
+    checks of `_identity_failures`.  `report.engine_ms` holds the time
+    each engine took over all instances, keyed as in a mismatch record.
     """
     ends = _block_ends(cfg)
     space = ends[-1]
@@ -155,13 +164,22 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
             )
         positions = sorted(random.Random(cfg.seed).sample(positions, cfg.cap))
     report = SweepReport(space=space, checked=0, subsampled=subsampled)
+    clock = time.perf_counter_ns
+    formula_ns = brute_ns = conv_ns = 0
     for inst in _grid_instances(cfg, ends, positions):
         if inst.k == 1:
             report.identity_checks += 4
             report.identity_failures += _identity_failures(inst)
+        t0 = clock()
         formula = congruence.count_restricted(inst)
+        t1 = clock()
         brute = oracle.brute_force_count(inst)
+        t2 = clock()
         conv = oracle.convolution_count(inst)
+        t3 = clock()
+        formula_ns += t1 - t0
+        brute_ns += t2 - t1
+        conv_ns += t3 - t2
         report.checked += 1
         if not (formula == brute == conv):
             report.mismatches.append(
@@ -175,4 +193,7 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
                     "convolution": str(conv),
                 }
             )
+    report.engine_ms = {
+        "formula": formula_ns / 1e6, "brute_force": brute_ns / 1e6, "convolution": conv_ns / 1e6
+    }
     return report

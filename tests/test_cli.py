@@ -5,7 +5,6 @@ import io
 import json
 import os
 import re
-import statistics
 import subprocess
 import sys
 import types
@@ -20,6 +19,7 @@ from rescong.arith import divisors
 from rescong.cli import canonical_json, main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HUGE = str(10**20)  # a 21-digit flag, past sys.maxsize
 
 
 def run_cli(capsys, *argv):
@@ -281,6 +281,13 @@ class TestSolve:
         assert code == 0
         assert out.splitlines()[1:] == ["1,4", "count = 3"]
 
+    def test_limit_past_maxsize_lists_every_solution(self, capsys):
+        code, out, err = run_cli(
+            capsys, "solve", "--n", "4", "--s", "2", "--b", "5", "--t", "1,2", "--limit", HUGE
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["1,4", "9,12", "13,8", "count = 3"]
+
 
 class TestVerify:
     def test_tiny_sweep_clean(self, capsys):
@@ -300,6 +307,31 @@ class TestVerify:
         assert rec["result"]["mismatches"] == []
         assert rec["result"]["instances_checked"] == rec["result"]["instance_space"]
         assert rec["result"]["identity_failures"] == []
+        engine_ms = rec["result"]["engine_ms"]
+        assert sorted(engine_ms) == ["brute_force", "convolution", "formula"]
+        assert all(ms >= 0 for ms in engine_ms.values())
+
+    def test_engine_times_under_a_fake_clock(self, capsys, monkeypatch):
+        # Four clock reads per instance: before the formula, then after
+        # the formula, brute force and convolution; two instances per run.
+        reads = [0, 1_000_000, 3_000_000, 6_000_000, 10_000_000, 10_500_000, 12_000_000, 12_250_000]
+        clock = iter(reads * 2)
+        fake_time = types.SimpleNamespace(perf_counter_ns=clock.__next__)
+        monkeypatch.setattr(verification, "time", fake_time)
+        argv = ("verify", "--max-n", "1", "--s", "1", "--max-k", "1")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines() == [
+            "engine sweep: 2 instances checked (space 2, exhaustive), 0 mismatches",
+            "identity suites: 4 checks, 0 failures",
+            "engine time: formula 1.500 ms, brute force 3.500 ms, convolution 3.250 ms",
+            "ok",
+        ]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        engine_ms = json.loads(out)["result"]["engine_ms"]
+        assert engine_ms == {"formula": 1.5, "brute_force": 3.5, "convolution": 3.25}
+        assert next(clock, None) is None
 
     def test_corrupted_formula_exits_two_with_reproducer(self, capsys, monkeypatch):
         real = congruence.count_restricted
@@ -316,6 +348,10 @@ class TestVerify:
         assert rec["params"]["cap"] == 0
         assert rec["result"]["instances_checked"] == 0
         assert rec["result"]["identity_checks"] == 0
+        assert rec["result"]["engine_ms"] == {"formula": 0, "brute_force": 0, "convolution": 0}
+        code, out, _ = run_cli(capsys, "verify", "--budget", "0")
+        assert code == 0
+        assert "engine time: formula 0.000 ms, brute force 0.000 ms, convolution 0.000 ms" in out
 
     def test_broken_reflection_exits_two(self, capsys, monkeypatch):
         real = verification.cohen_ramanujan
@@ -345,6 +381,12 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:") and "sys.maxsize" in err
 
+    def test_max_n_past_maxsize_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--max-n", HUGE, "--s", "1", "--max-k", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "max_n <= sys.maxsize" in err
+
     def test_power_below_one_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--max-n", "3", "--s", "1,-1", "--max-k", "2")
         assert code == 1
@@ -365,76 +407,6 @@ class TestVerify:
         assert err.startswith("error:") and message in err
 
 
-class TestBench:
-    def test_grid_row_count(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bench", "--n", "4,8,16", "--s", "1,2", "--k", "2,4,8", "--reps", "1"
-        )
-        assert code == 0
-        lines = [ln for ln in out.strip().splitlines() if ln]
-        assert lines[0] == "n,s,k,count,formula_ms,convolution_ms,brute_ms"
-        assert len(lines) == 1 + 18
-
-    def test_budget_exhausted_cells_stay_empty(self, capsys):
-        _, out, _ = run_cli(
-            capsys, "bench", "--n", "16", "--s", "2", "--k", "8", "--reps", "1",
-            "--format", "json",
-        )
-        rec = json.loads(out)
-        row = rec["result"]["rows"][0]
-        assert row["brute_ms"] is None  # 192**8 tuples is far past the budget
-        assert row["formula_ms"] is not None
-        assert int(row["count"]) >= 0
-
-    def test_counts_deterministic_across_runs(self, capsys):
-        argv = ("bench", "--n", "4,6", "--s", "1", "--k", "2", "--reps", "2", "--format", "json")
-        _, first, _ = run_cli(capsys, *argv)
-        _, second, _ = run_cli(capsys, *argv)
-        rows_a = json.loads(first)["result"]["rows"]
-        rows_b = json.loads(second)["result"]["rows"]
-        keys = ("n", "s", "k", "count")
-        assert [{k: r[k] for k in keys} for r in rows_a] == [
-            {k: r[k] for k in keys} for r in rows_b
-        ]
-
-    def test_two_reps_report_the_mean_of_both(self, capsys, monkeypatch):
-        # Clock reads in call order: main's start, then (start, end) per rep
-        # for formula, convolution and brute force, then main's end.
-        reads = [0.0, 0.0, 0.001, 0.0, 0.004, 0.0, 0.002, 0.0, 0.006, 0.0, 0.01, 0.0, 0.02, 0.0]
-        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=iter(reads).__next__))
-        _, out, _ = run_cli(
-            capsys, "bench", "--n", "4", "--s", "1", "--k", "2", "--reps", "2", "--format", "json"
-        )
-        row = json.loads(out)["result"]["rows"][0]
-        assert (row["formula_ms"], row["convolution_ms"], row["brute_ms"]) == (2.5, 4.0, 15.0)
-
-    @pytest.mark.parametrize("durations", [[3.0], [4.0, 1.0], [5.0, 1.0, 3.0], [9.0, 1.0, 4.0, 2.0]])
-    def test_median_timing_matches_statistics_median(self, monkeypatch, durations):
-        reads = [x for ms in durations for x in (0.0, ms / 1000.0)]
-        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=iter(reads).__next__))
-        value, median = cli._median_timing(lambda: 7, len(durations))
-        assert value == 7
-        assert median == pytest.approx(statistics.median(durations))
-
-    @pytest.mark.parametrize("reps", ["0", "-1"])
-    def test_nonpositive_reps_is_usage_error(self, capsys, reps):
-        code, out, err = run_cli(
-            capsys, "bench", "--n", "4", "--s", "1", "--k", "2", "--reps", reps
-        )
-        assert code == 1
-        assert out == ""
-        assert err.startswith("usage error:") and "--reps" in err
-
-    def test_negative_k_is_usage_error(self, capsys):
-        # (1,) * -1 == (), so a negative k would time the k = 0 instance.
-        code, out, err = run_cli(
-            capsys, "bench", "--n", "4", "--s", "1", "--k", "2,-1", "--reps", "1"
-        )
-        assert code == 1
-        assert out == ""
-        assert err.startswith("usage error:") and "--k" in err
-
-
 class TestUsageErrors:
     def test_unknown_flag_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "count", "--n", "4", "--s", "2", "--b", "5", "--bogus", "1")
@@ -445,6 +417,12 @@ class TestUsageErrors:
         code, out, _ = run_cli(capsys)
         assert code == 1
         assert "count" in out and "verify" in out
+
+    def test_bench_is_not_a_subcommand(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--n", "4", "--s", "1", "--k", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:") and "invalid choice: 'bench'" in err
 
     def test_bad_int_list_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "count", "--n", "4", "--s", "2", "--b", "5", "--t", "1,x")
@@ -534,7 +512,6 @@ class TestSubcommandFlags:
         "classes": ["--n", "--s", "--elements", "--budget"],
         "solve": ["--n", "--s", "--b", "--t", "--g", "--limit", "--budget"],
         "verify": ["--max-n", "--s", "--max-k", "--seed", "--budget"],
-        "bench": ["--n", "--s", "--k", "--reps", "--budget"],
     }
 
     def test_each_subcommand_has_its_flags(self):
@@ -546,13 +523,15 @@ class TestSubcommandFlags:
 
 @st.composite
 def cli_argvs(draw):
-    """argv for count/solve/classes/ramanujan/ggcd/bench.
+    """argv for count/solve/classes/ramanujan/ggcd/verify.
 
     Most values are in range; now and then one is out of range, a list
-    is malformed or a stray token is appended.  Values stay small enough
-    that no draw can enumerate a large class or tuple space: n <= 10**4,
-    s <= 6, k <= 4, --g entries <= 4, budgets <= 10**4 and --reps <= 2.
-    The commands that enumerate always get a budget and small moduli.
+    is malformed, a stray token is appended or --limit or --max-n has 21
+    digits.  Values stay small enough that no draw can enumerate a large
+    class or tuple space: n <= 10**4, s <= 6, k <= 4, --g entries <= 4
+    and budgets <= 10**4; verify sweeps max_n <= 3, s <= 2, max_k <= 2
+    with a budget <= 50.  The commands that enumerate always get a
+    budget and small moduli.
     """
 
     def low(valid=1):
@@ -563,9 +542,12 @@ def cli_argvs(draw):
             return draw(st.sampled_from(["", "-", "x", "1,,2", "1,x", " 3"]))
         return ",".join(map(str, draw(st.lists(elements, min_size=1, max_size=max_size))))
 
-    command = draw(st.sampled_from(["count", "solve", "classes", "ramanujan", "ggcd", "bench"]))
+    def rare_huge(text):
+        return HUGE if draw(st.integers(0, 9)) == 0 else text
+
+    command = draw(st.sampled_from(["count", "solve", "classes", "ramanujan", "ggcd", "verify"]))
     engine = draw(st.sampled_from([None, "formula", "brute", "convolution"]))
-    enumerates = command in ("solve", "bench") or (
+    enumerates = command in ("solve", "verify") or (
         command == "count" and engine in ("brute", "convolution")
     )
     elements = command == "classes" and draw(st.booleans())
@@ -573,7 +555,8 @@ def cli_argvs(draw):
     s = draw(st.integers(low(), 2 if enumerates else 6))
     budget = None
     if enumerates or elements:
-        budget = draw(st.integers(low(0), 200 if engine == "convolution" else 10**4))
+        most = 50 if command == "verify" else 200 if engine == "convolution" else 10**4
+        budget = draw(st.integers(low(0), most))
     argv = [command]
     if command in ("count", "solve"):
         argv += ["--n", str(n), "--s", str(s), "--b", str(draw(st.integers(-50, 10**6)))]
@@ -586,7 +569,7 @@ def cli_argvs(draw):
         if command == "count" and engine is not None:
             argv += ["--engine", engine]
         if command == "solve" and draw(st.booleans()):
-            argv += ["--limit", str(draw(st.integers(low(), 5)))]
+            argv += ["--limit", rare_huge(str(draw(st.integers(low(), 5))))]
     elif command == "classes":
         argv += ["--n", str(n), "--s", str(s)] + (["--elements"] if elements else [])
     elif command == "ramanujan":
@@ -595,10 +578,9 @@ def cli_argvs(draw):
         a, b = draw(st.integers(-10**6, 10**6)), draw(st.integers(-10**6, 10**6))
         argv += ["--a", str(a), "--b", str(b), "--s", str(s)]
     else:
-        argv += ["--n", int_list(st.integers(low(), 12), max_size=2)]
+        argv += ["--max-n", rare_huge(str(draw(st.integers(low(), 3))))]
         argv += ["--s", int_list(st.integers(low(), 2), max_size=2)]
-        argv += ["--k", int_list(st.integers(low(0), 4), max_size=2)]
-        argv += ["--reps", str(draw(st.integers(low(), 2)))]
+        argv += ["--max-k", str(draw(st.integers(low(0), 2)))]
     if budget is not None:
         argv += ["--budget", str(budget)]
     argv += draw(st.sampled_from([[], ["--format", "json"], ["--format", "text"]]))
@@ -684,10 +666,15 @@ def test_readme_examples(capsys):
         text = fh.read()
     sessions = _readme_sessions(text)
     assert [argv[0] for argv, _ in sessions] == ["count", "solve", "verify"]
+
+    # verify's engine times vary from run to run; compare all but their digits.
+    def masked(lines):
+        return [re.sub(r"\d+\.\d{3} ms", "_ ms", line) for line in lines]
+
     for argv, expected in sessions:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert out.splitlines() == expected, argv
+        assert masked(out.splitlines()) == masked(expected), argv
     # The CLI table's one-line examples: `rescong ramanujan ...` -> 12.
     table = re.findall(r"`rescong ((?:ramanujan|ggcd) [^`]*)` -> (-?\d+)", text)
     assert len(table) == 2

@@ -153,6 +153,9 @@ class TestEnumerateSolutions:
     def test_trivial_instance(self):
         assert enumerate_solutions(CongruenceInstance(1, 1, 0, (1,)), limit=10) == [(1,)]
 
+    def test_limit_past_maxsize_lists_every_solution(self):
+        assert enumerate_solutions(WORKED, limit=10**20) == [(1, 4), (9, 12), (13, 8)]
+
     def test_rejects_nonpositive_limit(self):
         with pytest.raises(DomainError):
             enumerate_solutions(WORKED, limit=0)

@@ -1,5 +1,6 @@
 import random
 import sys
+import types
 
 import pytest
 
@@ -162,6 +163,61 @@ def test_empty_grid_bounds_are_domain_errors(cfg, message):
         engine_sweep(cfg)
     with pytest.raises(DomainError, match=message):
         instance_space_size(cfg)
+
+
+@pytest.mark.parametrize(
+    "max_n", [sys.maxsize + 1, 10**20, 2**20000], ids=["maxsize+1", "10**20", "2**20000"]
+)
+def test_max_n_past_maxsize_is_domain_error(max_n):
+    # The divisor-count sieve holds max_n + 1 entries; 2**20000 has more
+    # decimal digits than the int -> str cap allows.
+    cfg = SweepConfig(max_n=max_n, s_values=(1,), max_k=1)
+    with pytest.raises(DomainError, match="max_n <= sys.maxsize"):
+        engine_sweep(cfg)
+    with pytest.raises(DomainError, match="max_n <= sys.maxsize"):
+        instance_space_size(cfg)
+
+
+def test_each_engine_runs_once_per_instance_through_its_module(monkeypatch):
+    # The sweep looks each engine up on its module when it calls it, so a
+    # wrapper set there (as the benchmark's lap clock is) sees every call.
+    calls = {"formula": 0, "brute_force": 0, "convolution": 0}
+
+    def counting(module, name, key):
+        real = getattr(module, name)
+
+        def wrapper(inst):
+            calls[key] += 1
+            return real(inst)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(congruence, "count_restricted", "formula")
+    counting(oracle, "brute_force_count", "brute_force")
+    counting(oracle, "convolution_count", "convolution")
+    report = engine_sweep(SweepConfig(max_n=3, s_values=(1, 2), max_k=2, seed=3, cap=40))
+    assert report.ok and report.checked == 40
+    assert calls == dict.fromkeys(calls, 40)
+    assert set(report.engine_ms) == set(calls)
+    assert all(ms > 0 for ms in report.engine_ms.values())
+
+
+def test_engine_ms_adds_each_engine_time_exactly(monkeypatch):
+    # Four clock reads per instance: before the formula, then after the
+    # formula, brute force and convolution.
+    reads = [0, 1_000_000, 3_000_000, 6_000_000, 10_000_000, 10_500_000, 12_000_000, 12_250_000]
+    clock = iter(reads)
+    monkeypatch.setattr(verification, "time", types.SimpleNamespace(perf_counter_ns=clock.__next__))
+    report = engine_sweep(SweepConfig(max_n=1, s_values=(1,), max_k=1))
+    assert report.checked == 2
+    assert report.engine_ms == {"formula": 1.5, "brute_force": 3.5, "convolution": 3.25}
+    assert next(clock, None) is None
+
+
+def test_zero_cap_spends_no_engine_time():
+    report = engine_sweep(SweepConfig(cap=0))
+    assert report.checked == 0
+    assert report.engine_ms == {"formula": 0, "brute_force": 0, "convolution": 0}
 
 
 def test_smallest_grid_still_checks_one_instance():
