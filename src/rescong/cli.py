@@ -164,10 +164,12 @@ def cmd_solve(args) -> _Reply:
 
 
 def cmd_verify(args) -> _Reply:
-    s_values = tuple(_parse_int_list(args.s, "--s"))
-    if not s_values:
-        raise _UsageError("--s expects at least one power, e.g. --s 1,2")
-    cfg = SweepConfig(args.max_n, s_values, args.max_k, args.seed, **_budget(args, "cap"))
+    # Flags not given keep SweepConfig's defaults, as --budget keeps cap's.
+    given = {"max_n": args.max_n, "max_k": args.max_k, "seed": args.seed}
+    if args.s is not None:
+        given["s_values"] = tuple(_parse_int_list(args.s, "--s"))
+    fields = {name: value for name, value in given.items() if value is not None}
+    cfg = SweepConfig(**fields, **_budget(args, "cap"))
     sweep = engine_sweep(cfg)
     params = cfg._asdict()
     params["s"] = list(params.pop("s_values"))
@@ -251,10 +253,10 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=cmd_solve)
 
     p = subs.add_parser("verify", help="engine-agreement sweep plus identity suites")
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--s", default="1,2", help="comma list of powers to sweep")
-    p.add_argument("--max-k", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0, help="seed for the subsample, if any")
+    p.add_argument("--max-n", type=int)
+    p.add_argument("--s", help="comma list of powers to sweep")
+    p.add_argument("--max-k", type=int)
+    p.add_argument("--seed", type=int, help="seed for the subsample, if any")
     p.add_argument("--budget", type=int, help="instance cap before subsampling kicks in")
     p.set_defaults(handler=cmd_verify)
 

@@ -28,6 +28,8 @@ from .ramanujan import cohen_ramanujan
 
 # Above this many instances the sweep switches to a seeded subsample.
 DEFAULT_INSTANCE_CAP = 250_000
+# A grid of more (n, s, k) blocks than this is refused before it is sized.
+MAX_BLOCKS = 2**16
 
 SweepConfig = namedtuple(
     "SweepConfig", "max_n s_values max_k seed cap", defaults=(6, (1, 2), 3, 0, DEFAULT_INSTANCE_CAP)
@@ -50,22 +52,17 @@ class SweepReport:
         return not self.mismatches and not self.identity_failures
 
 
-def _block_ends(cfg: SweepConfig) -> list[int]:
-    """Cumulative instance counts of the grid's (n, s, k) blocks, in grid order.
+def _blocks(cfg: SweepConfig) -> list[tuple[int, int, int, int]]:
+    """One (end, n, s, k) row per (n, s, k) block of the grid, in grid order.
 
-    Block i holds tau(n)**k * n**s instances and ends at position
-    ends[i]; `_block_key` names it.  An empty grid, or a power below
-    one, is a DomainError.  tau(n) comes from one divisor-count sieve,
-    so nothing is factored or listed.
+    n runs outermost, then s ascending, then k.  Block (n, s, k) holds
+    tau(n)**k * n**s instances and ends at position `end`.  An empty
+    grid, a power below one, or more than MAX_BLOCKS blocks is a
+    DomainError, raised before any sizing work.  tau(n) comes from one
+    divisor-count sieve, so nothing is factored or listed.
     """
     if cfg.max_n < 1:
         raise DomainError(f"engine_sweep requires max_n >= 1, got {cfg.max_n}")
-    if cfg.max_n > sys.maxsize:
-        # The divisor-count sieve below is a list of max_n + 1 entries.
-        raise DomainError(
-            f"engine_sweep requires max_n <= sys.maxsize = {sys.maxsize}, "
-            f"got a {cfg.max_n.bit_length()}-bit max_n"
-        )
     if cfg.max_k < 0:
         raise DomainError(f"engine_sweep requires max_k >= 0, got {cfg.max_k}")
     if not cfg.s_values:
@@ -73,36 +70,35 @@ def _block_ends(cfg: SweepConfig) -> list[int]:
     for s in cfg.s_values:
         if s < 1:
             raise DomainError(f"engine_sweep requires every power s >= 1, got {s}")
+    powers = sorted(set(cfg.s_values))
+    count = cfg.max_n * len(powers) * (cfg.max_k + 1)
+    if count > MAX_BLOCKS:
+        # Sized by bits: a 20-digit max_k can push the decimal form of
+        # the count past the interpreter's 4300-digit cap on int -> str.
+        raise DomainError(
+            f"engine_sweep requires at most {MAX_BLOCKS} blocks, max_n * len(set(s_values)) "
+            f"* (max_k + 1); got at least 2**{count.bit_length() - 1}"
+        )
     tau = [0] * (cfg.max_n + 1)
     for d in range(1, cfg.max_n + 1):
         for multiple in range(d, cfg.max_n + 1, d):
             tau[multiple] += 1
-    powers = sorted(set(cfg.s_values))
-    sizes = (
-        tau[n] ** k * n**s
-        for n in range(1, cfg.max_n + 1)
-        for s in powers
-        for k in range(cfg.max_k + 1)
-    )
-    return list(itertools.accumulate(sizes))
-
-
-def _block_key(cfg: SweepConfig, index: int) -> tuple[int, int, int]:
-    """(n, s, k) of block `index`: n outermost, then s ascending, then k."""
-    rest, k = divmod(index, cfg.max_k + 1)
-    n_index, s_index = divmod(rest, len(set(cfg.s_values)))
-    return n_index + 1, sorted(set(cfg.s_values))[s_index], k
+    rows, end = [], 0
+    for n, s, k in itertools.product(range(1, cfg.max_n + 1), powers, range(cfg.max_k + 1)):
+        end += tau[n] ** k * n**s
+        rows.append((end, n, s, k))
+    return rows
 
 
 def instance_space_size(cfg: SweepConfig) -> int:
-    return _block_ends(cfg)[-1]
+    return _blocks(cfg)[-1][0]
 
 
-def _grid_instances(cfg: SweepConfig, ends: list[int], positions):
+def _grid_instances(blocks: list[tuple[int, int, int, int]], positions):
     """Instances at ascending grid positions, in grid order (n, s, k, t, b).
 
-    `ends` is `_block_ends(cfg)`.  Each position is unranked in mixed
-    radix inside the block that a bisection of `ends` finds: b is the
+    `blocks` is `_blocks(cfg)`.  Each position is unranked in mixed
+    radix inside the block that a bisection of the ends finds: b is the
     innermost digit and t the base-tau digits above it, the last one
     varying fastest.  Divisors are listed only for a block that holds a
     position, once per block.
@@ -110,9 +106,9 @@ def _grid_instances(cfg: SweepConfig, ends: list[int], positions):
     end = 0
     for pos in positions:
         if pos >= end:
-            index = bisect.bisect_right(ends, pos)
-            start, end = ends[index - 1] if index else 0, ends[index]
-            n, s, k = _block_key(cfg, index)
+            index = bisect.bisect_right(blocks, pos, key=lambda row: row[0])
+            start = blocks[index - 1][0] if index else 0
+            end, n, s, k = blocks[index]
             divs = divisors(n)
             tau, ns = len(divs), n**s
         rank, b = divmod(pos - start, ns)
@@ -148,8 +144,8 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
     checks of `_identity_failures`.  `report.engine_ms` holds the time
     each engine took over all instances, keyed as in a mismatch record.
     """
-    ends = _block_ends(cfg)
-    space = ends[-1]
+    blocks = _blocks(cfg)
+    space = blocks[-1][0]
     if cfg.cap < 0:
         raise DomainError(f"engine_sweep requires cap >= 0, got {cfg.cap}")
     subsampled = space > cfg.cap
@@ -166,7 +162,7 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
     report = SweepReport(space=space, checked=0, subsampled=subsampled)
     clock = time.perf_counter_ns
     formula_ns = brute_ns = conv_ns = 0
-    for inst in _grid_instances(cfg, ends, positions):
+    for inst in _grid_instances(blocks, positions):
         if inst.k == 1:
             report.identity_checks += 4
             report.identity_failures += _identity_failures(inst)

@@ -385,7 +385,7 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--max-n", HUGE, "--s", "1", "--max-k", "1")
         assert code == 1
         assert out == ""
-        assert err.startswith("error:") and "max_n <= sys.maxsize" in err
+        assert err.startswith("error:") and "at most 65536 blocks" in err
 
     def test_power_below_one_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--max-n", "3", "--s", "1,-1", "--max-k", "2")
@@ -398,6 +398,7 @@ class TestVerify:
         [
             (("--max-n", "-5"), "max_n >= 1"),
             (("--max-n", "2", "--max-k", "-1"), "max_k >= 0"),
+            (("--s", ""), "at least one power"),
         ],
     )
     def test_empty_grid_exits_one(self, capsys, argv, message):
@@ -526,12 +527,12 @@ def cli_argvs(draw):
     """argv for count/solve/classes/ramanujan/ggcd/verify.
 
     Most values are in range; now and then one is out of range, a list
-    is malformed, a stray token is appended or --limit or --max-n has 21
-    digits.  Values stay small enough that no draw can enumerate a large
-    class or tuple space: n <= 10**4, s <= 6, k <= 4, --g entries <= 4
-    and budgets <= 10**4; verify sweeps max_n <= 3, s <= 2, max_k <= 2
-    with a budget <= 50.  The commands that enumerate always get a
-    budget and small moduli.
+    is malformed, a stray token is appended or --limit, --max-n or
+    --max-k has 21 digits.  Values stay small enough that no draw can
+    enumerate a large class or tuple space: n <= 10**4, s <= 6, k <= 4,
+    --g entries <= 4 and budgets <= 10**4; verify sweeps max_n <= 3,
+    s <= 2, max_k <= 2 with a budget <= 50.  The commands that enumerate
+    always get a budget and small moduli.
     """
 
     def low(valid=1):
@@ -580,7 +581,7 @@ def cli_argvs(draw):
     else:
         argv += ["--max-n", rare_huge(str(draw(st.integers(low(), 3))))]
         argv += ["--s", int_list(st.integers(low(), 2), max_size=2)]
-        argv += ["--max-k", str(draw(st.integers(low(0), 2)))]
+        argv += ["--max-k", rare_huge(str(draw(st.integers(low(0), 2))))]
     if budget is not None:
         argv += ["--budget", str(budget)]
     argv += draw(st.sampled_from([[], ["--format", "json"], ["--format", "text"]]))

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 import types
 
 import pytest
@@ -9,6 +10,7 @@ from rescong.arith import divisors
 from rescong.errors import DomainError
 from rescong.verification import (
     DEFAULT_INSTANCE_CAP,
+    MAX_BLOCKS,
     SweepConfig,
     SweepReport,
     engine_sweep,
@@ -169,13 +171,54 @@ def test_empty_grid_bounds_are_domain_errors(cfg, message):
     "max_n", [sys.maxsize + 1, 10**20, 2**20000], ids=["maxsize+1", "10**20", "2**20000"]
 )
 def test_max_n_past_maxsize_is_domain_error(max_n):
-    # The divisor-count sieve holds max_n + 1 entries; 2**20000 has more
+    # Such a max_n alone passes the block bound; 2**20000 has more
     # decimal digits than the int -> str cap allows.
     cfg = SweepConfig(max_n=max_n, s_values=(1,), max_k=1)
-    with pytest.raises(DomainError, match="max_n <= sys.maxsize"):
+    with pytest.raises(DomainError, match=f"at most {MAX_BLOCKS} blocks"):
         engine_sweep(cfg)
-    with pytest.raises(DomainError, match="max_n <= sys.maxsize"):
+    with pytest.raises(DomainError, match=f"at most {MAX_BLOCKS} blocks"):
         instance_space_size(cfg)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SweepConfig(max_n=3_000_000, s_values=(1,), max_k=0, cap=0),
+        SweepConfig(max_n=10**9),
+        SweepConfig(max_n=2, s_values=(1,), max_k=10**20),
+    ],
+    ids=["sieve", "max_n", "max_k"],
+)
+def test_grid_past_block_bound_is_refused_before_sizing(cfg):
+    # Sizing these grids took seconds and hundreds of MB, or ran out of
+    # memory; the bound is checked before the sieve runs.  The max_k case
+    # has 21 digits, and its block count's decimal form is never printed.
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match=rf"at most {MAX_BLOCKS} blocks.*got at least 2\*\*\d+$"):
+        engine_sweep(cfg)
+    with pytest.raises(DomainError, match=f"at most {MAX_BLOCKS} blocks"):
+        instance_space_size(cfg)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SweepConfig(max_n=MAX_BLOCKS, s_values=(1,), max_k=0, cap=0),
+        SweepConfig(max_n=MAX_BLOCKS // 4, s_values=(2, 1, 2), max_k=1, cap=0),
+    ],
+    ids=["s=1,k=0", "s=1,2,k<=1"],
+)
+def test_block_bound_admits_exactly_max_blocks(cfg):
+    # max_n * len(set(s_values)) * (max_k + 1) == MAX_BLOCKS is sized and
+    # swept; one more n is refused.
+    report = engine_sweep(cfg)
+    assert report.checked == 0 and report.space == instance_space_size(cfg)
+    if cfg.s_values == (1,):
+        # Block n holds n instances when k = 0 and s = 1.
+        assert report.space == MAX_BLOCKS * (MAX_BLOCKS + 1) // 2
+    with pytest.raises(DomainError, match=f"at most {MAX_BLOCKS} blocks"):
+        instance_space_size(cfg._replace(max_n=cfg.max_n + 1))
 
 
 def test_each_engine_runs_once_per_instance_through_its_module(monkeypatch):
