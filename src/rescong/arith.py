@@ -18,6 +18,10 @@ from .errors import DomainError
 # bigger rather than silently grinding.
 FACTORIZE_LIMIT = 10**12
 
+# The most bits a power built from input (n**s, r**s) may have;
+# `check_power` refuses a larger one before it is built.
+MAX_POWER_BITS = 2**20
+
 
 GeneralizedGcd = namedtuple("GeneralizedGcd", "base power value")
 GeneralizedGcd.__doc__ = "(a, b)_s: value == base**power is the largest such power dividing both."
@@ -57,6 +61,23 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def check_power(base: int, exp: int, name: str) -> None:
+    """Raise DomainError, before base**exp is built, if it has more than MAX_POWER_BITS bits.
+
+    For base >= 2 it has floor(exp * log2(base)) + 1 bits: more than exp,
+    at most exp * bit_length(base).  Bases 0 and 1 pass at any exp.  The
+    message gives the size as a power of two, never in decimal.
+    """
+    if exp * base.bit_length() > MAX_POWER_BITS and base > 1 and (
+        exp >= MAX_POWER_BITS or exp * math.log2(base) >= MAX_POWER_BITS
+    ):
+        least = max(MAX_POWER_BITS, (base.bit_length() - 1) * exp)
+        raise DomainError(
+            f"{name} would have more than 2**{least.bit_length() - 1} bits, "
+            f"past the bound of {MAX_POWER_BITS} bits on a power"
+        )
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, strictly ascending (1 first, n last)."""
     divs = [1]
@@ -91,6 +112,7 @@ def jordan_totient(n: int, s: int) -> int:
         raise DomainError(f"jordan_totient requires n >= 1, got {n}")
     if s < 1:
         raise DomainError(f"jordan_totient requires s >= 1, got {s}")
+    check_power(n, s, "n**s")
     out = 1
     for p, e in factorize(n):
         out *= p ** (s * e) - p ** (s * (e - 1))

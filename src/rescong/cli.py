@@ -26,7 +26,7 @@ import json
 import sys
 import time
 
-from .arith import divisors, generalized_gcd, jordan_totient
+from .arith import check_power, divisors, generalized_gcd, jordan_totient
 from .congruence import CongruenceInstance, class_members, count_restricted
 from .errors import BudgetExceededError, DomainError
 from .oracle import _matching_tuples, brute_force_count, convolution_count
@@ -133,6 +133,7 @@ def cmd_ggcd(args) -> _Reply:
 def cmd_classes(args) -> _Reply:
     if args.n < 1 or args.s < 1:
         raise DomainError(f"classes requires n, s >= 1, got n={args.n} s={args.s}")
+    check_power(args.n, args.s, "n**s")
     modulus = args.n**args.s
     rows = []
     lines = [f"n={args.n} s={args.s} modulus={modulus}"]
@@ -188,8 +189,8 @@ def cmd_verify(args) -> _Reply:
         f"engine sweep: {sweep.checked} instances checked "
         f"(space {sweep.space}, {mode}), {len(sweep.mismatches)} mismatches",
         f"identity suites: {sweep.identity_checks} checks, {len(sweep.identity_failures)} failures",
-        "engine time: formula {formula:.3f} ms, brute force {brute_force:.3f} ms, "
-        "convolution {convolution:.3f} ms".format(**sweep.engine_ms),
+        "engine time: "
+        + ", ".join(f"{key.replace('_', ' ')} {ms:.3f} ms" for key, ms in sweep.engine_ms.items()),
     ]
     for miss in sweep.mismatches[:10]:
         lines.append(

@@ -34,7 +34,7 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 from operator import getitem
 
-from .arith import divisors, factorize
+from .arith import check_power, divisors, factorize
 from .errors import BudgetExceededError, ConsistencyError, DomainError
 from .ramanujan import capped_valuation, prime_power_table
 
@@ -53,7 +53,8 @@ class CongruenceInstance(namedtuple("CongruenceInstance", "n s b restrictions"))
     `restrictions` lists the base divisors t_i of n pinning each unknown
     to (x_i, n**s)_s == t_i**s.  k == 0 is allowed (empty sum).  The
     target b is reduced into [0, n**s) on construction; the count is
-    n**s-periodic in b so nothing is lost.
+    n**s-periodic in b so nothing is lost.  An n**s of more than
+    MAX_POWER_BITS bits is refused (`rescong.arith.check_power`).
     """
 
     __slots__ = ()
@@ -63,6 +64,7 @@ class CongruenceInstance(namedtuple("CongruenceInstance", "n s b restrictions"))
             raise DomainError(f"modulus base n must be >= 1, got {n}")
         if s < 1:
             raise DomainError(f"power s must be >= 1, got {s}")
+        check_power(n, s, "n**s")
         restrictions = tuple(restrictions)
         for i, t in enumerate(restrictions, start=1):
             if t < 1 or n % t != 0:
@@ -128,6 +130,7 @@ def class_members(n: int, s: int, d: int, budget: int = DEFAULT_CLASS_BUDGET) ->
         raise DomainError(f"class_members requires n, s >= 1, got n={n} s={s}")
     if d < 1 or n % d != 0:
         raise DomainError(f"d = {d} is not a positive divisor of n = {n}")
+    check_power(n, s, "n**s")
     slots = (n // d) ** s
     if slots > budget:
         raise BudgetExceededError(

@@ -22,7 +22,7 @@ is evaluated in floating point by `rescong.oracle.cohen_ramanujan_direct`.
 
 from __future__ import annotations
 
-from .arith import factorize
+from .arith import check_power, factorize
 from .errors import DomainError
 
 
@@ -65,6 +65,7 @@ def cohen_ramanujan(r: int, s: int, n: int) -> int:
         raise DomainError(f"cohen_ramanujan requires r >= 1, got {r}")
     if s < 1:
         raise DomainError(f"cohen_ramanujan requires s >= 1, got {s}")
+    check_power(r, s, "r**s")
     value = 1
     for p, a in factorize(r):
         value *= _prime_power_sum(p, a, s, capped_valuation(n, p**s, a))

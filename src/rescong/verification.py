@@ -21,7 +21,7 @@ import time
 from collections import namedtuple
 
 from . import congruence, oracle
-from .arith import divisors, generalized_gcd
+from .arith import check_power, divisors, generalized_gcd
 from .congruence import CongruenceInstance
 from .errors import DomainError
 from .ramanujan import cohen_ramanujan
@@ -30,6 +30,13 @@ from .ramanujan import cohen_ramanujan
 DEFAULT_INSTANCE_CAP = 250_000
 # A grid of more (n, s, k) blocks than this is refused before it is sized.
 MAX_BLOCKS = 2**16
+# The engines the sweep compares, in running order, by record key.  Each is
+# looked up on its module at every call, so a wrapper set there sees it.
+_ENGINES = {
+    "formula": (congruence, "count_restricted"),
+    "brute_force": (oracle, "brute_force_count"),
+    "convolution": (oracle, "convolution_count"),
+}
 
 SweepConfig = namedtuple(
     "SweepConfig", "max_n s_values max_k seed cap", defaults=(6, (1, 2), 3, 0, DEFAULT_INSTANCE_CAP)
@@ -57,9 +64,10 @@ def _blocks(cfg: SweepConfig) -> list[tuple[int, int, int, int]]:
 
     n runs outermost, then s ascending, then k.  Block (n, s, k) holds
     tau(n)**k * n**s instances and ends at position `end`.  An empty
-    grid, a power below one, or more than MAX_BLOCKS blocks is a
-    DomainError, raised before any sizing work.  tau(n) comes from one
-    divisor-count sieve, so nothing is factored or listed.
+    grid, a power below one, more than MAX_BLOCKS blocks or a block
+    max_n**s past MAX_POWER_BITS bits is a DomainError, raised before
+    any sizing work.  tau(n) comes from one divisor-count sieve, so
+    nothing is factored or listed.
     """
     if cfg.max_n < 1:
         raise DomainError(f"engine_sweep requires max_n >= 1, got {cfg.max_n}")
@@ -79,6 +87,7 @@ def _blocks(cfg: SweepConfig) -> list[tuple[int, int, int, int]]:
             f"engine_sweep requires at most {MAX_BLOCKS} blocks, max_n * len(set(s_values)) "
             f"* (max_k + 1); got at least 2**{count.bit_length() - 1}"
         )
+    check_power(cfg.max_n, powers[-1], "max_n**s")
     tau = [0] * (cfg.max_n + 1)
     for d in range(1, cfg.max_n + 1):
         for multiple in range(d, cfg.max_n + 1, d):
@@ -119,30 +128,29 @@ def _grid_instances(blocks: list[tuple[int, int, int, int]], positions):
         yield CongruenceInstance(n=n, s=s, b=b, restrictions=reversed(t))
 
 
-def _identity_failures(inst: CongruenceInstance) -> list[str]:
-    """The structural identities that fail at a k = 1 instance, by name."""
+def _identities(inst: CongruenceInstance) -> dict[str, bool]:
+    """Whether each structural identity holds at a k = 1 instance, by name."""
     (t,) = inst.restrictions
     n, s, m, ns = inst.n, inst.s, inst.b, inst.modulus
     r = n // t
     reduced = generalized_gcd(m, ns, s).value
     value = cohen_ramanujan(r, s, m)
-    held = {
+    return {
         "ggcd periodicity": generalized_gcd(m + ns, ns, s).value == reduced,
         "argument reduction": cohen_ramanujan(r, s, reduced) == value,
         "periodicity": cohen_ramanujan(r, s, m + r**s) == value,
         "reflection": cohen_ramanujan(r, s, -m) == value,
     }
-    return [f"{name}: n={n} s={s} r={r} m={m}" for name, holds in held.items() if not holds]
 
 
 def engine_sweep(cfg: SweepConfig) -> SweepReport:
-    """Tripartite formula == brute force == convolution check over the grid.
+    """Check that the engines of `_ENGINES` agree on every instance of the grid.
 
     When the grid exceeds cfg.cap, a reproducible random subsample of
     exactly cfg.cap instances (seeded by cfg.seed) is checked instead.
-    Every k = 1 instance checked also runs the four structural identity
-    checks of `_identity_failures`.  `report.engine_ms` holds the time
-    each engine took over all instances, keyed as in a mismatch record.
+    Every k = 1 instance checked also runs the checks of `_identities`.
+    `report.engine_ms` holds each engine's time over all instances,
+    keyed as in `_ENGINES` and in a mismatch record.
     """
     blocks = _blocks(cfg)
     space = blocks[-1][0]
@@ -161,35 +169,23 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
         positions = sorted(random.Random(cfg.seed).sample(positions, cfg.cap))
     report = SweepReport(space=space, checked=0, subsampled=subsampled)
     clock = time.perf_counter_ns
-    formula_ns = brute_ns = conv_ns = 0
+    engine_ns = dict.fromkeys(_ENGINES, 0)
     for inst in _grid_instances(blocks, positions):
         if inst.k == 1:
-            report.identity_checks += 4
-            report.identity_failures += _identity_failures(inst)
-        t0 = clock()
-        formula = congruence.count_restricted(inst)
-        t1 = clock()
-        brute = oracle.brute_force_count(inst)
-        t2 = clock()
-        conv = oracle.convolution_count(inst)
-        t3 = clock()
-        formula_ns += t1 - t0
-        brute_ns += t2 - t1
-        conv_ns += t3 - t2
+            held = _identities(inst)
+            report.identity_checks += len(held)
+            where = f"n={inst.n} s={inst.s} r={inst.n // inst.restrictions[0]} m={inst.b}"
+            report.identity_failures += [f"{name}: {where}" for name in held if not held[name]]
+        counts = {}
+        start = clock()
+        for key, (module, name) in _ENGINES.items():
+            counts[key] = getattr(module, name)(inst)
+            stop = clock()
+            engine_ns[key] += stop - start
+            start = stop
         report.checked += 1
-        if not (formula == brute == conv):
-            report.mismatches.append(
-                {
-                    "n": inst.n,
-                    "s": inst.s,
-                    "b": inst.b,
-                    "t": list(inst.restrictions),
-                    "formula": str(formula),
-                    "brute_force": str(brute),
-                    "convolution": str(conv),
-                }
-            )
-    report.engine_ms = {
-        "formula": formula_ns / 1e6, "brute_force": brute_ns / 1e6, "convolution": conv_ns / 1e6
-    }
+        if len(set(counts.values())) > 1:
+            record = {"n": inst.n, "s": inst.s, "b": inst.b, "t": list(inst.restrictions)}
+            report.mismatches.append(record | {key: str(c) for key, c in counts.items()})
+    report.engine_ms = {key: ns / 1e6 for key, ns in engine_ns.items()}
     return report

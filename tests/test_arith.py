@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 
 from rescong.arith import (
     FACTORIZE_LIMIT,
+    MAX_POWER_BITS,
     GeneralizedGcd,
+    check_power,
     divisors,
     factorize,
     generalized_gcd,
@@ -215,3 +217,34 @@ class TestGeneralizedGcd:
     def test_s_zero_rejected(self):
         with pytest.raises(DomainError):
             generalized_gcd(4, 8, 0)
+
+
+class TestCheckPower:
+    @pytest.mark.parametrize(
+        "base,exp",
+        [
+            (2, MAX_POWER_BITS - 1),
+            (2, MAX_POWER_BITS),
+            (3, 661_577),  # 3**661577 has 1048575 bits
+            (3, 661_578),  # and 3**661578 has 1048577
+            (2**20 - 1, 52_428),
+            (2**20 - 1, 52_429),
+            (10**1000, 315),
+            (10**1000, 316),
+        ],
+    )
+    def test_refuses_exactly_the_powers_past_the_bound(self, base, exp):
+        if (base**exp).bit_length() > MAX_POWER_BITS:
+            with pytest.raises(DomainError, match=r"^x\*\*y would have more than 2\*\*\d+ bits"):
+                check_power(base, exp, "x**y")
+        else:
+            check_power(base, exp, "x**y")
+
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_bases_zero_and_one_are_unbounded(self, base):
+        check_power(base, 10**5000, "x**y")
+
+    def test_message_gives_bits_as_a_power_of_two(self):
+        # The exponent has more digits than the int -> str cap allows.
+        with pytest.raises(DomainError, match=r"more than 2\*\*16612 bits"):
+            check_power(2, 10**5001, "n**s")

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import types
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -333,6 +334,18 @@ class TestVerify:
         assert engine_ms == {"formula": 1.5, "brute_force": 3.5, "convolution": 3.25}
         assert next(clock, None) is None
 
+    def test_engine_time_lists_the_engine_table_in_order(self, capsys, monkeypatch):
+        # One more engine in the table, an exact copy of the formula, shows
+        # up in the engine time line with its underscores read as spaces.
+        engines = dict(verification._ENGINES, formula_again=verification._ENGINES["formula"])
+        monkeypatch.setattr(verification, "_ENGINES", engines)
+        code, out, _ = run_cli(capsys, "verify", "--max-n", "2", "--s", "1", "--max-k", "1")
+        assert code == 0
+        line = re.sub(r"\d+\.\d{3} ms", "T ms", out.splitlines()[2])
+        assert line == (
+            "engine time: formula T ms, brute force T ms, convolution T ms, formula again T ms"
+        )
+
     def test_corrupted_formula_exits_two_with_reproducer(self, capsys, monkeypatch):
         real = congruence.count_restricted
         monkeypatch.setattr(congruence, "count_restricted", lambda inst: real(inst) + 1)
@@ -406,6 +419,26 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "2", "--s", HUGE, "--b", "0", "--t", "1"],
+        ["ramanujan", "--r", "2", "--s", HUGE, "--m", "0"],
+        ["classes", "--n", "2", "--s", HUGE],
+        ["verify", "--max-n", "2", "--s", HUGE, "--max-k", "0"],
+    ],
+    ids=["count", "ramanujan", "classes", "verify"],
+)
+def test_huge_power_exits_one_before_it_is_built(capsys, argv):
+    # n**s = 2**(10**20) ended in a MemoryError traceback.
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "would have more than 2**66 bits" in err
 
 
 class TestUsageErrors:
@@ -527,7 +560,7 @@ def cli_argvs(draw):
     """argv for count/solve/classes/ramanujan/ggcd/verify.
 
     Most values are in range; now and then one is out of range, a list
-    is malformed, a stray token is appended or --limit, --max-n or
+    is malformed, a stray token is appended or --limit, --s, --max-n or
     --max-k has 21 digits.  Values stay small enough that no draw can
     enumerate a large class or tuple space: n <= 10**4, s <= 6, k <= 4,
     --g entries <= 4 and budgets <= 10**4; verify sweeps max_n <= 3,
@@ -560,7 +593,7 @@ def cli_argvs(draw):
         budget = draw(st.integers(low(0), most))
     argv = [command]
     if command in ("count", "solve"):
-        argv += ["--n", str(n), "--s", str(s), "--b", str(draw(st.integers(-50, 10**6)))]
+        argv += ["--n", str(n), "--s", rare_huge(str(s)), "--b", str(draw(st.integers(-50, 10**6)))]
         divs = divisors(n) if n >= 1 else [1]
         if draw(st.booleans()):
             argv += ["--t", int_list(st.sampled_from(divs) | st.integers(low(), max(n, 1) + 1))]
@@ -572,15 +605,16 @@ def cli_argvs(draw):
         if command == "solve" and draw(st.booleans()):
             argv += ["--limit", rare_huge(str(draw(st.integers(low(), 5))))]
     elif command == "classes":
-        argv += ["--n", str(n), "--s", str(s)] + (["--elements"] if elements else [])
+        argv += ["--n", str(n), "--s", rare_huge(str(s))] + (["--elements"] if elements else [])
     elif command == "ramanujan":
-        argv += ["--r", str(n), "--s", str(s), "--m", str(draw(st.integers(-10**6, 10**6)))]
+        m = str(draw(st.integers(-10**6, 10**6)))
+        argv += ["--r", str(n), "--s", rare_huge(str(s)), "--m", m]
     elif command == "ggcd":
         a, b = draw(st.integers(-10**6, 10**6)), draw(st.integers(-10**6, 10**6))
         argv += ["--a", str(a), "--b", str(b), "--s", str(s)]
     else:
         argv += ["--max-n", rare_huge(str(draw(st.integers(low(), 3))))]
-        argv += ["--s", int_list(st.integers(low(), 2), max_size=2)]
+        argv += ["--s", rare_huge(int_list(st.integers(low(), 2), max_size=2))]
         argv += ["--max-k", rare_huge(str(draw(st.integers(low(0), 2))))]
     if budget is not None:
         argv += ["--budget", str(budget)]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -18,6 +19,7 @@ from rescong.congruence import (
 )
 from rescong.errors import BudgetExceededError, DomainError
 from rescong.ramanujan import cohen_ramanujan
+from rescong.verification import SweepConfig, engine_sweep, instance_space_size
 
 from reference import count_units_nicol, count_units_rademacher, count_unrestricted_lehmer
 
@@ -412,6 +414,38 @@ class TestLargeModulus:
             for ts in [(1, 1), (2, 3), (4, 15, 720720), (1, 6, 11, 5040), (13,) * 5]:
                 inst = CongruenceInstance(n, s, b, ts)
                 assert count_restricted(inst) == count_by_local_convolution(inst)
+
+
+class TestPowerBound:
+    """A power past 2**20 bits is refused before it is built."""
+
+    HUGE = 10**20
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda s: CongruenceInstance(2, s, 0, (1,)),
+            lambda s: cohen_ramanujan(2, s, 0),
+            lambda s: class_members(2, s, 1),
+            lambda s: jordan_totient(2, s),
+            lambda s: instance_space_size(SweepConfig(max_n=2, s_values=(1, s), max_k=0)),
+            lambda s: engine_sweep(SweepConfig(max_n=2, s_values=(s,), max_k=0)),
+        ],
+        ids=["instance", "cohen_ramanujan", "class_members", "jordan_totient", "sizing", "sweep"],
+    )
+    def test_huge_power_is_domain_error_at_once(self, entry):
+        # Building 2**(10**20) asked for exabytes and ended in MemoryError.
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match=r"\*\*s would have more than 2\*\*66 bits"):
+            entry(self.HUGE)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_base_one_is_unbounded(self):
+        inst = CongruenceInstance(1, self.HUGE, 5, (1, 1))
+        assert inst.b == 0 and count_restricted(inst) == 1
+        assert cohen_ramanujan(1, self.HUGE, 7) == 1
+        assert jordan_totient(1, self.HUGE) == 1
+        assert class_members(1, self.HUGE, 1) == [1]
 
 
 class TestLehmer:

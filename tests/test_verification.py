@@ -257,6 +257,30 @@ def test_engine_ms_adds_each_engine_time_exactly(monkeypatch):
     assert next(clock, None) is None
 
 
+def off_by_one_at_b1(inst):
+    """The closed form, one too high whenever b == 1."""
+    return congruence.count_restricted(inst) + (inst.b == 1)
+
+
+def test_engine_table_drives_the_sweep(monkeypatch):
+    # A fourth engine in the table is run, timed and recorded like the
+    # other three, with no other change to the sweep.
+    fourth = types.SimpleNamespace(count=off_by_one_at_b1)
+    engines = dict(verification._ENGINES, shifted_formula=(fourth, "count"))
+    monkeypatch.setattr(verification, "_ENGINES", engines)
+    report = engine_sweep(SweepConfig(max_n=2, s_values=(1,), max_k=1))
+    assert not report.ok
+    assert list(report.engine_ms) == ["formula", "brute_force", "convolution", "shifted_formula"]
+    assert report.engine_ms["shifted_formula"] > 0
+    # b == 1 occurs at n = 2 only: k = 0, and k = 1 with t = 1 or 2.
+    assert [(m["n"], m["b"], m["t"]) for m in report.mismatches] == [
+        (2, 1, []), (2, 1, [1]), (2, 1, [2])
+    ]
+    for record in report.mismatches:
+        assert record["formula"] == record["brute_force"] == record["convolution"]
+        assert record["shifted_formula"] == str(int(record["formula"]) + 1)
+
+
 def test_zero_cap_spends_no_engine_time():
     report = engine_sweep(SweepConfig(cap=0))
     assert report.checked == 0
