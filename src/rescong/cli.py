@@ -26,7 +26,7 @@ import json
 import sys
 import time
 
-from .arith import check_power, divisors, generalized_gcd, jordan_totient
+from .arith import divisors, generalized_gcd, jordan_totient
 from .congruence import CongruenceInstance, class_members, count_restricted
 from .errors import BudgetExceededError, DomainError
 from .oracle import _matching_tuples, brute_force_count, convolution_count
@@ -34,6 +34,8 @@ from .ramanujan import cohen_ramanujan
 from .verification import SweepConfig, engine_sweep
 
 ENGINES = ("formula", "brute", "convolution")
+# The most unknowns --g may spell: about what --t can spell within one argv.
+MAX_UNKNOWNS = 2**20
 
 
 class _UsageError(Exception):
@@ -81,6 +83,10 @@ def _instance(args) -> tuple[CongruenceInstance, dict, str]:
             )
         if any(x < 0 for x in g):
             raise DomainError("--g entries must be nonnegative")
+        if sum(g) > MAX_UNKNOWNS:
+            raise DomainError(
+                f"--g spells at most {MAX_UNKNOWNS} unknowns, got at least 2**{sum(g).bit_length() - 1}"
+            )
         restrictions = tuple(d for d, gj in zip(divs, g) for _ in range(gj))
     else:
         restrictions = tuple(_parse_int_list(args.t, "--t"))
@@ -92,12 +98,16 @@ def _instance(args) -> tuple[CongruenceInstance, dict, str]:
         "t": list(restrictions),
         "modulus": inst.modulus,
     }
-    header = f"n={args.n} s={args.s} b={args.b} t={_t_display(restrictions)} modulus={inst.modulus}"
-    return inst, params, header
+    return inst, params, _pairs(params)
 
 
-def _t_display(restrictions: tuple[int, ...]) -> str:
+def _t_display(restrictions: list[int] | tuple[int, ...]) -> str:
     return ",".join(map(str, restrictions)) if restrictions else "-"
+
+
+def _pairs(record: dict) -> str:
+    """`record` as key=value pairs, with t written as --t takes it."""
+    return " ".join(f"{key}={_t_display(v) if key == 't' else v}" for key, v in record.items())
 
 
 # What every cmd_* returns: params, result and the text lines.  main prints
@@ -133,10 +143,7 @@ def cmd_ggcd(args) -> _Reply:
 def cmd_classes(args) -> _Reply:
     if args.n < 1 or args.s < 1:
         raise DomainError(f"classes requires n, s >= 1, got n={args.n} s={args.s}")
-    check_power(args.n, args.s, "n**s")
-    modulus = args.n**args.s
-    rows = []
-    lines = [f"n={args.n} s={args.s} modulus={modulus}"]
+    rows, lines = [], []
     for d in divisors(args.n):
         row: dict = {"d": d, "size": str(jordan_totient(args.n // d, args.s))}
         line = f"d={d} size={row['size']}"
@@ -145,7 +152,9 @@ def cmd_classes(args) -> _Reply:
             line += " members=" + ",".join(map(str, row["members"]))
         rows.append(row)
         lines.append(line)
-    lines.append(f"total = {modulus}")
+    # The d = 1 row's jordan_totient(n, s) has refused an n**s past MAX_POWER_BITS.
+    modulus = args.n**args.s
+    lines = [f"n={args.n} s={args.s} modulus={modulus}", *lines, f"total = {modulus}"]
     params = {"n": args.n, "s": args.s, "modulus": modulus, "elements": bool(args.elements)}
     return params, {"rows": rows, "total": str(modulus)}, lines
 
@@ -183,6 +192,7 @@ def cmd_verify(args) -> _Reply:
         "identity_checks": sweep.identity_checks,
         "identity_failures": sweep.identity_failures,
         "engine_ms": sweep.engine_ms,
+        "refused": sweep.refused,
     }
     mode = "subsampled" if sweep.subsampled else "exhaustive"
     lines = [
@@ -192,18 +202,18 @@ def cmd_verify(args) -> _Reply:
         "engine time: "
         + ", ".join(f"{key.replace('_', ' ')} {ms:.3f} ms" for key, ms in sweep.engine_ms.items()),
     ]
-    for miss in sweep.mismatches[:10]:
+    if any(sweep.refused.values()):
         lines.append(
-            f"MISMATCH n={miss['n']} s={miss['s']} b={miss['b']} "
-            f"t={_t_display(tuple(miss['t']))} formula={miss['formula']} "
-            f"brute={miss['brute_force']} convolution={miss['convolution']}"
+            "engine refusals: "
+            + ", ".join(f"{key.replace('_', ' ')} {n}" for key, n in sweep.refused.items())
         )
+    lines += [f"MISMATCH {_pairs(miss)}" for miss in sweep.mismatches[:10]]
     lines += [f"FAILURE {failure}" for failure in sweep.identity_failures[:10]]
     if sweep.mismatches:
         first = sweep.mismatches[0]
         lines.append(
             f"reproduce: rescong count --n {first['n']} --s {first['s']} "
-            f"--b {first['b']} --t {_t_display(tuple(first['t']))} --engine brute"
+            f"--b {first['b']} --t {_t_display(first['t'])} --engine brute"
         )
     lines.append("ok" if sweep.ok else "MISMATCH DETECTED")
     return params, result, lines
@@ -293,8 +303,8 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DomainError, BudgetExceededError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     finally:
         sys.set_int_max_str_digits(digit_cap)

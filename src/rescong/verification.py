@@ -3,12 +3,14 @@
 `engine_sweep` walks a grid of restricted-congruence instances in
 canonical order (ascending n, s, k, restriction tuple, b) and demands
 that the closed form, brute-force enumeration, and cyclic convolution
-all return the same count.  On each k = 1 instance (n, s, b, (t,)) it
-also checks the identities the closed form rests on, with r = n/t and
-m = b: (m, n**s)_s is n**s-periodic in m, and c_{r,s}(m) equals its
-value at (m, n**s)_s, at m + r**s and at -m.  The (t, b) cells of the
-k = 1 blocks are the (r, m) cells for r | n, so an exhaustive sweep
-checks each such cell once and a subsample checks the cells it draws.
+all return the same count.  An engine that refuses an instance for its
+budget is counted, and the engines that answered are compared.  On each
+k = 1 instance (n, s, b, (t,)) it also checks the identities the closed
+form rests on, with r = n/t and m = b: (m, n**s)_s is n**s-periodic in
+m, and c_{r,s}(m) equals its value at (m, n**s)_s, at m + r**s and at
+-m.  The (t, b) cells of the k = 1 blocks are the (r, m) cells for
+r | n, so an exhaustive sweep checks each such cell once and a
+subsample checks the cells it draws.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from collections import namedtuple
 from . import congruence, oracle
 from .arith import check_power, divisors, generalized_gcd
 from .congruence import CongruenceInstance
-from .errors import DomainError
+from .errors import BudgetExceededError, DomainError
 from .ramanujan import cohen_ramanujan
 
 # Above this many instances the sweep switches to a seeded subsample.
@@ -53,6 +55,7 @@ class SweepReport:
         self.identity_checks = 0
         self.identity_failures: list[str] = []
         self.engine_ms: dict[str, float] = {}
+        self.refused = dict.fromkeys(_ENGINES, 0)
 
     @property
     def ok(self) -> bool:
@@ -149,8 +152,10 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
     When the grid exceeds cfg.cap, a reproducible random subsample of
     exactly cfg.cap instances (seeded by cfg.seed) is checked instead.
     Every k = 1 instance checked also runs the checks of `_identities`.
-    `report.engine_ms` holds each engine's time over all instances,
-    keyed as in `_ENGINES` and in a mismatch record.
+    `report.engine_ms` holds each engine's time over all instances and
+    `report.refused` how many instances it refused for its budget, both
+    keyed as in `_ENGINES` and in a mismatch record, which holds only
+    the engines that answered.
     """
     blocks = _blocks(cfg)
     space = blocks[-1][0]
@@ -179,7 +184,10 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
         counts = {}
         start = clock()
         for key, (module, name) in _ENGINES.items():
-            counts[key] = getattr(module, name)(inst)
+            try:
+                counts[key] = getattr(module, name)(inst)
+            except BudgetExceededError:
+                report.refused[key] += 1
             stop = clock()
             engine_ns[key] += stop - start
             start = stop

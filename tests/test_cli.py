@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rescong import cli, congruence, verification
+from rescong import cli, congruence, oracle, verification
 from rescong.arith import divisors
 from rescong.cli import canonical_json, main
+from rescong.errors import BudgetExceededError
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HUGE = str(10**20)  # a 21-digit flag, past sys.maxsize
@@ -120,6 +121,22 @@ class TestCount:
         code, out, err = run_cli(capsys, "count", "--n", "2", "--s", "50", "--b", "0", "--t", "1,2")
         assert code == 0 and err == ""
         assert out.splitlines()[-1] == "count = 0"
+
+    @pytest.mark.parametrize("command", ["count", "solve"])
+    @pytest.mark.parametrize("g, bits", [(f"{HUGE},0", 66), (f"{2**20 + 1},0", 20)])
+    def test_g_past_the_unknown_bound_exits_one(self, capsys, command, g, bits):
+        # --g 10**20,0 expanded its unknowns until the process was killed.
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--n", "2", "--s", "1", "--b", "0", "--g", g)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (1, "")
+        assert err == f"error: --g spells at most 1048576 unknowns, got at least 2**{bits}\n"
+
+    def test_g_at_the_unknown_bound_counts(self, capsys):
+        # 2**20 odd unknowns sum to 0 mod 2 in exactly one way.
+        code, out, err = run_cli(capsys, "count", "--n", "2", "--s", "1", "--b", "0", "--g", "1048576,0")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "count = 1"
 
     def test_convolution_budget_reaches_class_enumeration(self, capsys):
         # n**s = 1002001 is past the default class budget of 10**6
@@ -354,6 +371,64 @@ class TestVerify:
         assert "MISMATCH" in out
         assert "reproduce: rescong count" in out
 
+    def test_mismatch_line_lists_the_engines_the_record_holds(self, capsys, monkeypatch):
+        argv = ("verify", "--max-n", "1", "--s", "1", "--max-k", "0")
+        table = verification._ENGINES
+        fourth = types.SimpleNamespace(count=lambda inst: 7)
+        monkeypatch.setattr(verification, "_ENGINES", dict(table, fourth=(fourth, "count")))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert out.splitlines()[3] == (
+            "MISMATCH n=1 s=1 b=0 t=- formula=1 brute_force=1 convolution=1 fourth=7"
+        )
+        # With convolution out of the table, the line lists the two engines left.
+        engines = {key: table[key] for key in ("formula", "brute_force")}
+        monkeypatch.setattr(verification, "_ENGINES", engines)
+        real = congruence.count_restricted
+        monkeypatch.setattr(congruence, "count_restricted", lambda inst: real(inst) + 1)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert out.splitlines()[3:] == [
+            "MISMATCH n=1 s=1 b=0 t=- formula=2 brute_force=1",
+            "reproduce: rescong count --n 1 --s 1 --b 0 --t - --engine brute",
+            "MISMATCH DETECTED",
+        ]
+
+    def test_refusals_are_counted_not_fatal(self, capsys, monkeypatch):
+        argv = ("verify", "--max-n", "2", "--s", "1", "--max-k", "2")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["result"]["refused"] == dict.fromkeys(verification._ENGINES, 0)
+        real = oracle.brute_force_count
+
+        def refusing(inst):
+            if inst.k >= 2:
+                raise BudgetExceededError("refused")
+            return real(inst)
+
+        # 9 of the 17 instances have two unknowns.
+        monkeypatch.setattr(oracle, "brute_force_count", refusing)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "engine sweep: 17 instances checked (space 17, exhaustive), 0 mismatches"
+        assert lines[3:] == ["engine refusals: formula 0, brute force 9, convolution 0", "ok"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["ok"] is True
+        assert result["refused"] == {"formula": 0, "brute_force": 9, "convolution": 0}
+
+    def test_an_instance_past_the_brute_force_budget_is_refused(self, capsys):
+        # One sampled instance holds 6**9 tuples, past brute force's default
+        # budget of 10**7; it used to abort the sweep with exit 1.
+        argv = ("verify", "--max-n", "20", "--s", "2", "--max-k", "3", "--budget", "40", "--seed", "3")
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert result["ok"] is True and result["instances_checked"] == 40
+        assert result["refused"] == {"formula": 0, "brute_force": 1, "convolution": 0}
+
     def test_zero_budget_checks_no_instances(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--budget", "0", "--format", "json")
         assert code == 0
@@ -439,6 +514,47 @@ def test_huge_power_exits_one_before_it_is_built(capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert "would have more than 2**66 bits" in err
+
+
+def test_out_of_memory_exits_one(capsys, monkeypatch):
+    def exhausted(inst, **budget):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "convolution_count", exhausted)
+    argv = ["count", "--n", "4", "--s", "2", "--b", "5", "--t", "1,2", "--engine", "convolution"]
+    assert run_cli(capsys, *argv) == (1, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "1000003", "--s", "2", "--b", "0", "--t", "1000003", "--engine",
+         "convolution", "--budget", HUGE],
+        ["classes", "--n", "1000003", "--s", "2", "--elements", "--budget", HUGE],
+    ],
+    ids=["count", "classes"],
+)
+def test_out_of_memory_in_a_bounded_process(argv):
+    # A budget past memory ended in a MemoryError traceback.  The child's
+    # address space is capped at 1 GiB, so it fails without using more.
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        soft = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rescong", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=REPO_ROOT,
+        preexec_fn=cap_address_space,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
 
 
 class TestUsageErrors:
@@ -560,8 +676,8 @@ def cli_argvs(draw):
     """argv for count/solve/classes/ramanujan/ggcd/verify.
 
     Most values are in range; now and then one is out of range, a list
-    is malformed, a stray token is appended or --limit, --s, --max-n or
-    --max-k has 21 digits.  Values stay small enough that no draw can
+    is malformed, a stray token is appended or --limit, --s, --max-n,
+    --max-k or a --g entry has 21 digits.  Values stay small enough that no draw can
     enumerate a large class or tuple space: n <= 10**4, s <= 6, k <= 4,
     --g entries <= 4 and budgets <= 10**4; verify sweeps max_n <= 3,
     s <= 2, max_k <= 2 with a budget <= 50.  The commands that enumerate
@@ -599,7 +715,8 @@ def cli_argvs(draw):
             argv += ["--t", int_list(st.sampled_from(divs) | st.integers(low(), max(n, 1) + 1))]
         elif draw(st.booleans()):
             width = draw(st.sampled_from([len(divs)] * 3 + [len(divs) + 1]))
-            argv += ["--g", int_list(st.integers(low(0), 4), max_size=width)]
+            g = int_list(st.integers(low(0), 4), max_size=width)
+            argv += ["--g", ",".join(rare_huge(entry) for entry in g.split(","))]
         if command == "count" and engine is not None:
             argv += ["--engine", engine]
         if command == "solve" and draw(st.booleans()):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import time
@@ -7,7 +8,7 @@ import pytest
 
 from rescong import arith, congruence, oracle, verification
 from rescong.arith import divisors
-from rescong.errors import DomainError
+from rescong.errors import BudgetExceededError, DomainError
 from rescong.verification import (
     DEFAULT_INSTANCE_CAP,
     MAX_BLOCKS,
@@ -279,6 +280,45 @@ def test_engine_table_drives_the_sweep(monkeypatch):
     for record in report.mismatches:
         assert record["formula"] == record["brute_force"] == record["convolution"]
         assert record["shifted_formula"] == str(int(record["formula"]) + 1)
+
+
+def refusing_from_k2(engine):
+    """`engine`, refusing every instance with two or more unknowns."""
+
+    def refusing(inst):
+        if inst.k >= 2:
+            raise BudgetExceededError(f"refused k = {inst.k}")
+        return engine(inst)
+
+    return refusing
+
+
+def test_refused_instances_are_counted_and_the_rest_compared(monkeypatch):
+    monkeypatch.setattr(oracle, "brute_force_count", refusing_from_k2(oracle.brute_force_count))
+    clock = itertools.count()
+    monkeypatch.setattr(verification, "time", types.SimpleNamespace(perf_counter_ns=clock.__next__))
+    report = engine_sweep(SweepConfig(max_n=2, s_values=(1,), max_k=2))
+    # n = 1 holds one instance per k, n = 2 holds 2**k * 2: 17 in all, 9 with k = 2.
+    assert report.ok and report.checked == report.space == 17
+    assert report.refused == {"formula": 0, "brute_force": 9, "convolution": 0}
+    # A refusal still ends its lap: four clock reads per instance.
+    assert next(clock) == 4 * report.checked
+
+
+def test_mismatch_record_holds_only_the_engines_that_answered(monkeypatch):
+    monkeypatch.setattr(oracle, "brute_force_count", refusing_from_k2(oracle.brute_force_count))
+    real = congruence.count_restricted
+    monkeypatch.setattr(congruence, "count_restricted", lambda inst: real(inst) + 1)
+    report = engine_sweep(SweepConfig(max_n=1, s_values=(1,), max_k=2))
+    assert not report.ok and report.refused["brute_force"] == 1
+    assert [list(m) for m in report.mismatches] == [
+        ["n", "s", "b", "t", "formula", "brute_force", "convolution"],
+        ["n", "s", "b", "t", "formula", "brute_force", "convolution"],
+        ["n", "s", "b", "t", "formula", "convolution"],
+    ]
+    assert report.mismatches[-1] == {
+        "n": 1, "s": 1, "b": 0, "t": [1, 1], "formula": "2", "convolution": "1"
+    }
 
 
 def test_zero_cap_spends_no_engine_time():
