@@ -71,8 +71,12 @@ def _budget(args, keyword: str = "budget") -> dict:
     return {keyword: args.budget}
 
 
-def _instance(args) -> tuple[CongruenceInstance, dict, str]:
-    """The instance named by --n --s --b and --t or --g, its params and text header."""
+def _instance(args) -> tuple[CongruenceInstance, dict]:
+    """The instance named by --n --s --b and --t or --g, and its params.
+
+    Callers write the text header, `_pairs(params)`, only once the engine
+    has answered: n**s in decimal takes seconds near MAX_POWER_BITS.
+    """
     if args.g is not None:
         g = _parse_int_list(args.g, "--g")
         divs = divisors(args.n)
@@ -98,7 +102,7 @@ def _instance(args) -> tuple[CongruenceInstance, dict, str]:
         "t": list(restrictions),
         "modulus": inst.modulus,
     }
-    return inst, params, _pairs(params)
+    return inst, params
 
 
 def _t_display(restrictions: list[int] | tuple[int, ...]) -> str:
@@ -116,7 +120,7 @@ _Reply = tuple[dict, dict, list[str]]
 
 
 def cmd_count(args) -> _Reply:
-    inst, params, header = _instance(args)
+    inst, params = _instance(args)
     budget = _budget(args)
     if args.engine == "formula":
         value = count_restricted(inst)  # the closed form enumerates nothing
@@ -124,7 +128,8 @@ def cmd_count(args) -> _Reply:
         value = brute_force_count(inst, **budget)
     else:
         value = convolution_count(inst, **budget)
-    return params, {"count": str(value)}, [f"{header} engine={args.engine}", f"count = {value}"]
+    lines = [f"{_pairs(params)} engine={args.engine}", f"count = {value}"]
+    return params, {"count": str(value)}, lines
 
 
 def cmd_ramanujan(args) -> _Reply:
@@ -160,13 +165,14 @@ def cmd_classes(args) -> _Reply:
 
 
 def cmd_solve(args) -> _Reply:
-    inst, params, header = _instance(args)
+    inst, params = _instance(args)
     if args.limit < 1:
         raise DomainError(f"limit must be >= 1, got {args.limit}")
     # One walk: keep the first --limit solutions, count the rest.
     walk = _matching_tuples(inst, **_budget(args))
     solutions = list(itertools.islice(walk, min(args.limit, sys.maxsize)))
     total = len(solutions) + sum(1 for _ in walk)
+    header = _pairs(params)
     params["limit"] = args.limit
     result = {"solutions": [list(sol) for sol in solutions], "count": str(total)}
     lines = [header] + [",".join(map(str, sol)) if sol else "()" for sol in solutions]

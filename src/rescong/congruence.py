@@ -32,7 +32,7 @@ import itertools
 import math
 from collections import Counter, namedtuple
 from functools import lru_cache
-from operator import getitem
+from operator import getitem, mul
 
 from .arith import check_power, divisors, factorize
 from .errors import BudgetExceededError, ConsistencyError, DomainError
@@ -40,6 +40,10 @@ from .ramanujan import capped_valuation, prime_power_table
 
 # Ceiling on the (n/d)**s slots scanned to enumerate one class C(d).
 DEFAULT_CLASS_BUDGET = 10**6
+
+# Ceiling on the bits of a count the closed form may build: a 2**21-bit
+# int takes seconds to divide and to print in decimal.
+MAX_COUNT_BITS = 2**21
 
 # Evidence that the integrality invariant is exercised: every closed-form
 # evaluation bumps "checked"; "failed" stays zero unless a bug slips in
@@ -177,7 +181,9 @@ def fourier_numerator(instance: CongruenceInstance) -> int:
     Only the divisors with v_p(d) <= cap_p at every prime are visited
     (`_term_box`): every term outside that box has a zero factor and
     every term inside it is nonzero, so the sum is exact and no term is
-    tested for zero.
+    tested for zero.  Before the sum, a count whose bound from the class
+    sizes has more than MAX_COUNT_BITS bits is refused with DomainError,
+    whether or not the count itself is small.
     """
     primes, b_levels, counts, caps = _term_box(instance)
     tables = [prime_power_table(p, e, instance.s) for p, e in primes]
@@ -189,6 +195,16 @@ def fourier_numerator(instance: CongruenceInstance) -> int:
         ([rows[e - capped_valuation(t, p, e)] for (p, e), rows in zip(primes, reversed_tables)], g)
         for t, g in counts.items()
     ]
+    # The last unknown is fixed by the others, so the count is at most
+    # prod J_s(n/t_i) over all unknowns but one; J_s(p**a) = c_{p**a,s}(0)
+    # is the first entry of reversed row a.
+    log_sizes = [math.log2(math.prod([row[0] for row in rows])) for rows, _ in groups]
+    bits = sum(map(mul, log_sizes, counts.values())) - max(log_sizes, default=0)
+    if bits > MAX_COUNT_BITS:
+        raise DomainError(
+            f"the count's bound from the class sizes has 2**{int(bits).bit_length() - 1} bits "
+            f"or more, past the limit of {MAX_COUNT_BITS} bits on a count"
+        )
     total = 0
     for d_exps in itertools.product(*(range(cap + 1) for cap in caps)):
         term = math.prod(map(getitem, map(getitem, tables, d_exps), b_levels))
@@ -201,8 +217,8 @@ def fourier_numerator(instance: CongruenceInstance) -> int:
 def count_restricted(instance: CongruenceInstance) -> int:
     """Number of solutions via the Ramanujan-sum closed form.
 
-    Exact at any size; Python integers carry the result even when it
-    reaches n**(s*(k-1)) and beyond.
+    Exact integers throughout, up to MAX_COUNT_BITS bits of the count's
+    bound (`fourier_numerator`).
     """
     numerator = fourier_numerator(instance)
     modulus = instance.modulus

@@ -35,26 +35,23 @@ def capped_valuation(m: int, q: int, cap: int) -> int:
     return j
 
 
-def _prime_power_sum(p: int, a: int, s: int, j: int) -> int:
-    """c_{p**a,s}(m) for a >= 1, given j = min(v_p(m) // s, a)."""
-    if j < a - 1:
-        return 0
+def _prime_power_row(p: int, a: int, s: int) -> list[int]:
+    """c_{p**a,s}(m) at every level j = min(v_p(m) // s, a), for j = 0 .. a."""
+    if a == 0:
+        return [1]
     low = p ** ((a - 1) * s)
-    return low * p**s - low if j == a else -low
+    return [0] * (a - 1) + [-low, low * p**s - low]
 
 
 def prime_power_table(p: int, e: int, s: int) -> list[list[int]]:
     """c_{p**a,s}(m) for 0 <= a <= e at every level j = min(v_p(m) // s, e).
 
-    Entry [a][j]; row a == 0 is all ones.  Row a >= 1 reads
-    `_prime_power_sum` at levels j <= a, and every level above a reads
-    as a.  Plain loops, since a count builds the tables on every call.
+    Entry [a][j]: row a is `_prime_power_row` padded to e + 1 levels,
+    since every level above a reads as a.
     """
-    table = [[1] * (e + 1)]
-    for a in range(1, e + 1):
-        row = []
-        for j in range(a + 1):
-            row.append(_prime_power_sum(p, a, s, j))
+    table = []
+    for a in range(e + 1):
+        row = _prime_power_row(p, a, s)
         table.append(row + row[-1:] * (e - a))
     return table
 
@@ -68,5 +65,5 @@ def cohen_ramanujan(r: int, s: int, n: int) -> int:
     check_power(r, s, "r**s")
     value = 1
     for p, a in factorize(r):
-        value *= _prime_power_sum(p, a, s, capped_valuation(n, p**s, a))
+        value *= _prime_power_row(p, a, s)[capped_valuation(n, p**s, a)]
     return value

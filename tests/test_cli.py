@@ -132,6 +132,28 @@ class TestCount:
         assert (code, out) == (1, "")
         assert err == f"error: --g spells at most 1048576 unknowns, got at least 2**{bits}\n"
 
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    def test_count_past_the_bit_bound_exits_one(self, capsys, fmt):
+        # 2000 unknowns in C(1) of 2**1048575 ran until killed.
+        t0 = time.perf_counter()
+        argv = ["count", "--n", "2", "--s", "1048575", "--b", "0", "--g", "2000,0", *fmt]
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the count's bound from the class sizes has 2**30 bits or more, "
+            "past the limit of 2097152 bits on a count\n"
+        )
+
+    def test_g_entries_must_be_nonnegative(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--n", "2", "--s", "1", "--b", "0", "--g", "1,-1")
+        assert (code, out, err) == (1, "", "error: --g entries must be nonnegative\n")
+
+    def test_negative_budget_is_a_usage_error(self, capsys):
+        argv = ["count", "--n", "4", "--s", "2", "--b", "5", "--t", "1,2", "--engine", "brute"]
+        code, out, err = run_cli(capsys, *argv, "--budget", "-1")
+        assert (code, out, err) == (1, "", "usage error: --budget must be >= 0, got -1\n")
+
     def test_g_at_the_unknown_bound_counts(self, capsys):
         # 2**20 odd unknowns sum to 0 mod 2 in exactly one way.
         code, out, err = run_cli(capsys, "count", "--n", "2", "--s", "1", "--b", "0", "--g", "1048576,0")
@@ -298,6 +320,12 @@ class TestSolve:
         )
         assert code == 0
         assert out.splitlines()[1:] == ["1,4", "count = 3"]
+
+    def test_limit_zero_exits_one(self, capsys):
+        code, out, err = run_cli(
+            capsys, "solve", "--n", "4", "--s", "2", "--b", "5", "--t", "1,2", "--limit", "0"
+        )
+        assert (code, out, err) == (1, "", "error: limit must be >= 1, got 0\n")
 
     def test_limit_past_maxsize_lists_every_solution(self, capsys):
         code, out, err = run_cli(
@@ -677,7 +705,9 @@ def cli_argvs(draw):
 
     Most values are in range; now and then one is out of range, a list
     is malformed, a stray token is appended or --limit, --s, --max-n,
-    --max-k or a --g entry has 21 digits.  Values stay small enough that no draw can
+    --max-k or a --g entry has 21 digits.  A --g list has one entry per
+    divisor of n, or one too many, so a 21-digit entry reaches the
+    expansion bound.  Values stay small enough that no draw can
     enumerate a large class or tuple space: n <= 10**4, s <= 6, k <= 4,
     --g entries <= 4 and budgets <= 10**4; verify sweeps max_n <= 3,
     s <= 2, max_k <= 2 with a budget <= 50.  The commands that enumerate
@@ -687,10 +717,10 @@ def cli_argvs(draw):
     def low(valid=1):
         return valid - 3 if draw(st.integers(0, 5)) == 0 else valid
 
-    def int_list(elements, max_size=4):
+    def int_list(elements, max_size=4, min_size=1):
         if draw(st.integers(0, 9)) == 0:
             return draw(st.sampled_from(["", "-", "x", "1,,2", "1,x", " 3"]))
-        return ",".join(map(str, draw(st.lists(elements, min_size=1, max_size=max_size))))
+        return ",".join(map(str, draw(st.lists(elements, min_size=min_size, max_size=max_size))))
 
     def rare_huge(text):
         return HUGE if draw(st.integers(0, 9)) == 0 else text
@@ -715,7 +745,7 @@ def cli_argvs(draw):
             argv += ["--t", int_list(st.sampled_from(divs) | st.integers(low(), max(n, 1) + 1))]
         elif draw(st.booleans()):
             width = draw(st.sampled_from([len(divs)] * 3 + [len(divs) + 1]))
-            g = int_list(st.integers(low(0), 4), max_size=width)
+            g = int_list(st.integers(low(0), 4), min_size=width, max_size=width)
             argv += ["--g", ",".join(rare_huge(entry) for entry in g.split(","))]
         if command == "count" and engine is not None:
             argv += ["--engine", engine]

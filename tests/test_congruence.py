@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rescong import congruence
 from rescong.arith import divisors, generalized_gcd, jordan_totient
 from rescong.congruence import (
     ClassProfile,
@@ -17,7 +18,7 @@ from rescong.congruence import (
     count_restricted,
     fourier_numerator,
 )
-from rescong.errors import BudgetExceededError, DomainError
+from rescong.errors import BudgetExceededError, ConsistencyError, DomainError
 from rescong.ramanujan import cohen_ramanujan
 from rescong.verification import SweepConfig, engine_sweep, instance_space_size
 
@@ -160,6 +161,11 @@ class TestClassMembers:
         with pytest.raises(DomainError):
             class_members(4, 2, 3)
 
+    @pytest.mark.parametrize("n,s", [(0, 1), (2, 0)])
+    def test_rejects_nonpositive_n_or_s(self, n, s):
+        with pytest.raises(DomainError, match="requires n, s >= 1"):
+            class_members(n, s, 1)
+
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             class_members(101, 1, 1, budget=100)
@@ -172,6 +178,20 @@ class TestCountRestricted:
     def test_worked_example_numerator(self):
         # 1*(12*3) + (-1)*((-4)*3) + 0 = 36 + 12 = 48, then 48 / 16 = 3
         assert fourier_numerator(WORKED) == 48
+
+    @pytest.mark.parametrize(
+        "numerator, failed, message",
+        [(17, 1, "not divisible by modulus 16"), (-16, 0, "negative solution count -1")],
+    )
+    def test_invariant_violations_raise(self, monkeypatch, numerator, failed, message):
+        # A copy of the stats, so the acceptance suite's "never fired" still holds.
+        stats = dict(congruence.DIVISIBILITY_STATS)
+        expected = {"checked": stats["checked"] + 1, "failed": stats["failed"] + failed}
+        monkeypatch.setattr(congruence, "DIVISIBILITY_STATS", stats)
+        monkeypatch.setattr(congruence, "fourier_numerator", lambda instance: numerator)
+        with pytest.raises(ConsistencyError, match=message):
+            count_restricted(WORKED)
+        assert stats == expected
 
     def test_single_residue_modulus(self):
         for s in (1, 2, 3):
@@ -446,6 +466,50 @@ class TestPowerBound:
         assert cohen_ramanujan(1, self.HUGE, 7) == 1
         assert jordan_totient(1, self.HUGE) == 1
         assert class_members(1, self.HUGE, 1) == [1]
+
+
+class TestCountBound:
+    """A count whose bound from the class sizes passes 2**21 bits is refused before the sum."""
+
+    def test_refused_at_once(self):
+        # Five unknowns in C(1) of 2**1048575: a bound of 4 * 1048575 bits.
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match=r"has 2\*\*21 bits or more, past the limit of 2097152"):
+            count_restricted(CongruenceInstance(2, 1048575, 0, (1,) * 5))
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_zero_count_is_refused_by_its_size(self):
+        # An even number of odd units never sums to an odd target ...
+        assert count_restricted(CongruenceInstance(14, 1, 1, (1,) * 4)) == 0
+        # ... but 60,000 units mod 2p bound the count by 59,999 * log2(p - 1) bits.
+        with pytest.raises(DomainError, match="past the limit"):
+            count_restricted(CongruenceInstance(2 * 499999999979, 1, 1, (1,) * 60000))
+
+    def test_one_unknown_and_size_one_classes_add_nothing(self):
+        assert count_restricted(CongruenceInstance(2, 1048575, 0, (1,))) == 0
+        assert count_restricted(CongruenceInstance(2, 1048575, 0, (2,) * 5)) == 1
+        # Each odd unknown mod 2 has a class of size 1: log2 1 is 0 bits, not 1.
+        assert count_restricted(CongruenceInstance(2, 1, 0, (1,) * (2**21 + 2))) == 1
+
+    def test_bound_leaves_out_one_unknown(self, monkeypatch):
+        # Two units mod 3 sum to 0 in J_1(3) = 2 ways: a 1-bit bound, not 2.
+        monkeypatch.setattr(congruence, "MAX_COUNT_BITS", 1)
+        assert count_restricted(CongruenceInstance(3, 1, 0, (1, 1))) == 2
+
+    @pytest.mark.parametrize("n,s", [(1, 1), (4, 2), (6, 1), (12, 1), (8, 2), (30, 1)])
+    def test_bound_is_at_least_the_count(self, monkeypatch, n, s):
+        # With the limit just below log2(count), every nonzero count is refused.
+        divs = divisors(n)
+        for k in range(4):
+            for ts in itertools.combinations_with_replacement(divs, k):
+                for b in {0, 1, n, n**s - 1}:
+                    inst = CongruenceInstance(n, s, b, ts)
+                    count = count_restricted(inst)
+                    if count:
+                        monkeypatch.setattr(congruence, "MAX_COUNT_BITS", math.log2(count) - 1e-9)
+                        with pytest.raises(DomainError):
+                            count_restricted(inst)
+                        monkeypatch.undo()
 
 
 class TestLehmer:

@@ -50,8 +50,8 @@ def test_zero_argument_gives_jordan_totient():
 @pytest.mark.parametrize("p,e,s", [(2, 4, 1), (3, 2, 2), (5, 1, 3), (13, 1, 2), (2, 6, 2)])
 def test_prime_power_table_entries(p, e, s):
     # m = p**(s*j) sits at level j, and m = 0 at the top level e.  The table
-    # and cohen_ramanujan share _prime_power_sum, so the Moebius divisor sum
-    # is the independent check on every entry.
+    # and cohen_ramanujan read the same _prime_power_row, so the Moebius
+    # divisor sum is the independent check on every entry.
     table = prime_power_table(p, e, s)
     assert len(table) == e + 1 and table[0] == [1] * (e + 1)
     for a in range(e + 1):
@@ -69,6 +69,8 @@ def test_rejects_bad_arguments():
         cohen_ramanujan(4, 0, 5)
     with pytest.raises(DomainError):
         cohen_ramanujan_direct(0, 2, 5)
+    with pytest.raises(DomainError):
+        cohen_ramanujan_direct(2, 0, 1)
 
 
 class TestClassic:
