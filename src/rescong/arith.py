@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, show_int
 
 # Trial division to sqrt(n) stays practical at desk scale; refuse anything
 # bigger rather than silently grinding.
@@ -34,9 +34,9 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     Primes strictly ascending, every e >= 1; 1 has no pairs.
     """
     if n < 1:
-        raise DomainError(f"factorize requires n >= 1, got {n}")
+        raise DomainError(f"factorize requires n >= 1, got {show_int(n)}")
     if n > FACTORIZE_LIMIT:
-        raise DomainError(f"factorize is limited to n <= {FACTORIZE_LIMIT}, got {n}")
+        raise DomainError(f"factorize is limited to n <= {FACTORIZE_LIMIT}, got {show_int(n)}")
     pairs: list[tuple[int, int]] = []
     rem = n
     for p in (2, 3):
@@ -62,12 +62,15 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def check_power(base: int, exp: int, name: str) -> None:
-    """Raise DomainError, before base**exp is built, if it has more than MAX_POWER_BITS bits.
+    """The one gate for a power built from input, such as n**s or r**s.
 
-    For base >= 2 it has floor(exp * log2(base)) + 1 bits: more than exp,
-    at most exp * bit_length(base).  Bases 0 and 1 pass at any exp.  The
-    message gives the size as a power of two, never in decimal.
+    Raises DomainError, before base**exp is built, unless base, exp >= 1
+    and it has at most MAX_POWER_BITS bits: for base >= 2, floor(exp *
+    log2(base)) + 1 bits, more than exp and at most exp * bit_length(base).
+    No message prints base or exp; a size is given as a power of two.
     """
+    if base < 1 or exp < 1:
+        raise DomainError(f"{name} requires {name.replace('**', ', ')} >= 1")
     if exp * base.bit_length() > MAX_POWER_BITS and base > 1 and (
         exp >= MAX_POWER_BITS or exp * math.log2(base) >= MAX_POWER_BITS
     ):
@@ -95,7 +98,7 @@ def divisors(n: int) -> list[int]:
 def mobius(n: int) -> int:
     """Moebius mu(n): 0 when a squared prime divides n, else (-1)**omega(n)."""
     if n < 1:
-        raise DomainError(f"mobius requires n >= 1, got {n}")
+        raise DomainError(f"mobius requires n >= 1, got {show_int(n)}")
     pairs = factorize(n)
     if any(e > 1 for _, e in pairs):
         return 0
@@ -108,10 +111,6 @@ def jordan_totient(n: int, s: int) -> int:
     Counts the 1 <= y <= n**s with (y, n**s)_s == 1; J_1 is the Euler
     totient.
     """
-    if n < 1:
-        raise DomainError(f"jordan_totient requires n >= 1, got {n}")
-    if s < 1:
-        raise DomainError(f"jordan_totient requires s >= 1, got {s}")
     check_power(n, s, "n**s")
     out = 1
     for p, e in factorize(n):
@@ -129,7 +128,7 @@ def generalized_gcd(a: int, b: int, s: int) -> GeneralizedGcd:
     argument decides the answer.  Both zero is undefined.
     """
     if s < 1:
-        raise DomainError(f"generalized_gcd requires s >= 1, got {s}")
+        raise DomainError(f"generalized_gcd requires s >= 1, got {show_int(s)}")
     if a == 0 and b == 0:
         raise DomainError("generalized_gcd requires at least one nonzero argument")
     g = math.gcd(abs(a), abs(b))

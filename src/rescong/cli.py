@@ -26,7 +26,7 @@ import json
 import sys
 import time
 
-from .arith import divisors, generalized_gcd, jordan_totient
+from .arith import check_power, divisors, generalized_gcd, jordan_totient
 from .congruence import CongruenceInstance, class_members, count_restricted
 from .errors import BudgetExceededError, DomainError
 from .oracle import _matching_tuples, brute_force_count, convolution_count
@@ -128,8 +128,10 @@ def cmd_count(args) -> _Reply:
         value = brute_force_count(inst, **budget)
     else:
         value = convolution_count(inst, **budget)
-    lines = [f"{_pairs(params)} engine={args.engine}", f"count = {value}"]
-    return params, {"count": str(value)}, lines
+    result = {"count": str(value)}
+    if args.format == "json":  # main prints only the record
+        return params, result, []
+    return params, result, [f"{_pairs(params)} engine={args.engine}", f"count = {result['count']}"]
 
 
 def cmd_ramanujan(args) -> _Reply:
@@ -146,8 +148,7 @@ def cmd_ggcd(args) -> _Reply:
 
 
 def cmd_classes(args) -> _Reply:
-    if args.n < 1 or args.s < 1:
-        raise DomainError(f"classes requires n, s >= 1, got n={args.n} s={args.s}")
+    check_power(args.n, args.s, "n**s")
     rows, lines = [], []
     for d in divisors(args.n):
         row: dict = {"d": d, "size": str(jordan_totient(args.n // d, args.s))}
@@ -157,7 +158,6 @@ def cmd_classes(args) -> _Reply:
             line += " members=" + ",".join(map(str, row["members"]))
         rows.append(row)
         lines.append(line)
-    # The d = 1 row's jordan_totient(n, s) has refused an n**s past MAX_POWER_BITS.
     modulus = args.n**args.s
     lines = [f"n={args.n} s={args.s} modulus={modulus}", *lines, f"total = {modulus}"]
     params = {"n": args.n, "s": args.s, "modulus": modulus, "elements": bool(args.elements)}

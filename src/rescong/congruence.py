@@ -35,7 +35,7 @@ from functools import lru_cache
 from operator import getitem, mul
 
 from .arith import check_power, divisors, factorize
-from .errors import BudgetExceededError, ConsistencyError, DomainError
+from .errors import BudgetExceededError, ConsistencyError, DomainError, show_int
 from .ramanujan import capped_valuation, prime_power_table
 
 # Ceiling on the (n/d)**s slots scanned to enumerate one class C(d).
@@ -57,22 +57,20 @@ class CongruenceInstance(namedtuple("CongruenceInstance", "n s b restrictions"))
     `restrictions` lists the base divisors t_i of n pinning each unknown
     to (x_i, n**s)_s == t_i**s.  k == 0 is allowed (empty sum).  The
     target b is reduced into [0, n**s) on construction; the count is
-    n**s-periodic in b so nothing is lost.  An n**s of more than
-    MAX_POWER_BITS bits is refused (`rescong.arith.check_power`).
+    n**s-periodic in b so nothing is lost.  n and s must be >= 1 and
+    n**s at most MAX_POWER_BITS bits (`rescong.arith.check_power`).
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, s: int, b: int, restrictions=()):
-        if n < 1:
-            raise DomainError(f"modulus base n must be >= 1, got {n}")
-        if s < 1:
-            raise DomainError(f"power s must be >= 1, got {s}")
         check_power(n, s, "n**s")
         restrictions = tuple(restrictions)
         for i, t in enumerate(restrictions, start=1):
             if t < 1 or n % t != 0:
-                raise DomainError(f"restriction t_{i} = {t} is not a positive divisor of n = {n}")
+                raise DomainError(
+                    f"restriction t_{i} = {show_int(t)} is not a positive divisor of n = {show_int(n)}"
+                )
         return super().__new__(cls, n, s, b % n**s, restrictions)
 
     @property
@@ -130,15 +128,14 @@ def class_members(n: int, s: int, d: int, budget: int = DEFAULT_CLASS_BUDGET) ->
 
     Enumeration scans (n/d)**s slots, and `budget` caps that scan.
     """
-    if n < 1 or s < 1:
-        raise DomainError(f"class_members requires n, s >= 1, got n={n} s={s}")
-    if d < 1 or n % d != 0:
-        raise DomainError(f"d = {d} is not a positive divisor of n = {n}")
     check_power(n, s, "n**s")
+    if d < 1 or n % d != 0:
+        raise DomainError(f"d = {show_int(d)} is not a positive divisor of n = {show_int(n)}")
     slots = (n // d) ** s
     if slots > budget:
         raise BudgetExceededError(
-            f"enumerating C({d}) scans (n/d)**s = {slots} slots, budget is {budget}"
+            f"enumerating C({show_int(d)}) scans (n/d)**s = {show_int(slots)} slots, "
+            f"budget is {show_int(budget)}"
         )
     build = _class_members if slots <= _MEMO_SLOTS else _class_members.__wrapped__
     return list(build(n, s, d))
@@ -222,13 +219,13 @@ def count_restricted(instance: CongruenceInstance) -> int:
     """
     numerator = fourier_numerator(instance)
     modulus = instance.modulus
+    count, remainder = divmod(numerator, modulus)
     DIVISIBILITY_STATS["checked"] += 1
-    if numerator % modulus != 0:
+    if remainder != 0:
         DIVISIBILITY_STATS["failed"] += 1
         raise ConsistencyError(
             f"formula sum {numerator} is not divisible by modulus {modulus} for {instance}"
         )
-    count = numerator // modulus
     if count < 0:
         raise ConsistencyError(f"negative solution count {count} for {instance}")
     return count

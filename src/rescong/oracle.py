@@ -14,9 +14,9 @@ import itertools
 import math
 import sys
 
-from .arith import jordan_totient
+from .arith import check_power, jordan_totient
 from .congruence import DEFAULT_CLASS_BUDGET, CongruenceInstance, class_members
-from .errors import BudgetExceededError, ConsistencyError, DomainError
+from .errors import BudgetExceededError, ConsistencyError, DomainError, show_int
 
 DEFAULT_TUPLE_BUDGET = 10**7
 DEFAULT_VECTOR_BUDGET = 10**5
@@ -45,8 +45,8 @@ def _matching_tuples(instance: CongruenceInstance, budget: int = DEFAULT_TUPLE_B
         total_tuples *= jordan_totient(n // t, s)
     if total_tuples > budget:
         raise BudgetExceededError(
-            f"the tuple space holds at least {total_tuples} tuples, past the "
-            f"enumeration budget {budget}; use convolution_count instead"
+            f"the tuple space holds at least {show_int(total_tuples)} tuples, past the "
+            f"enumeration budget {show_int(budget)}; use convolution_count instead"
         )
     member_lists = [class_members(n, s, t, budget) for t in ts]
     modulus = instance.modulus
@@ -68,7 +68,9 @@ def convolution_count(instance: CongruenceInstance, budget: int = DEFAULT_VECTOR
     """
     modulus = instance.modulus
     if modulus > budget:
-        raise BudgetExceededError(f"modulus {modulus} exceeds the vector budget {budget}")
+        raise BudgetExceededError(
+            f"modulus {show_int(modulus)} exceeds the vector budget {show_int(budget)}"
+        )
     vec = [0] * modulus
     vec[0] = 1  # delta at 0: the empty sum
     expected_mass = 1
@@ -114,10 +116,7 @@ def cohen_ramanujan_direct(r: int, s: int, n: int, budget: int = DEFAULT_DIRECT_
     the exact path and this one cannot both be right, so it raises
     ConsistencyError.
     """
-    if r < 1:
-        raise DomainError(f"cohen_ramanujan_direct requires r >= 1, got {r}")
-    if s < 1:
-        raise DomainError(f"cohen_ramanujan_direct requires s >= 1, got {s}")
+    check_power(r, s, "r**s")
     total = class_character_sum(r, s, 1, n, budget)
     nearest = round(total.real)
     tol = DIRECT_TOLERANCE
@@ -133,5 +132,5 @@ def enumerate_solutions(
 ) -> list[tuple[int, ...]]:
     """Lexicographically first solutions, at most `limit` of them."""
     if limit < 1:
-        raise DomainError(f"limit must be >= 1, got {limit}")
+        raise DomainError(f"limit must be >= 1, got {show_int(limit)}")
     return list(itertools.islice(_matching_tuples(instance, budget), min(limit, sys.maxsize)))

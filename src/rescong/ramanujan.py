@@ -23,7 +23,6 @@ is evaluated in floating point by `rescong.oracle.cohen_ramanujan_direct`.
 from __future__ import annotations
 
 from .arith import check_power, factorize
-from .errors import DomainError
 
 
 def capped_valuation(m: int, q: int, cap: int) -> int:
@@ -58,10 +57,6 @@ def prime_power_table(p: int, e: int, s: int) -> list[list[int]]:
 
 def cohen_ramanujan(r: int, s: int, n: int) -> int:
     """c_{r,s}(n) exactly, as the product of prime-power sums over p**a || r."""
-    if r < 1:
-        raise DomainError(f"cohen_ramanujan requires r >= 1, got {r}")
-    if s < 1:
-        raise DomainError(f"cohen_ramanujan requires s >= 1, got {s}")
     check_power(r, s, "r**s")
     value = 1
     for p, a in factorize(r):

@@ -25,7 +25,7 @@ from collections import namedtuple
 from . import congruence, oracle
 from .arith import check_power, divisors, generalized_gcd
 from .congruence import CongruenceInstance
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, DomainError, show_int
 from .ramanujan import cohen_ramanujan
 
 # Above this many instances the sweep switches to a seeded subsample.
@@ -73,14 +73,14 @@ def _blocks(cfg: SweepConfig) -> list[tuple[int, int, int, int]]:
     nothing is factored or listed.
     """
     if cfg.max_n < 1:
-        raise DomainError(f"engine_sweep requires max_n >= 1, got {cfg.max_n}")
+        raise DomainError(f"engine_sweep requires max_n >= 1, got {show_int(cfg.max_n)}")
     if cfg.max_k < 0:
-        raise DomainError(f"engine_sweep requires max_k >= 0, got {cfg.max_k}")
+        raise DomainError(f"engine_sweep requires max_k >= 0, got {show_int(cfg.max_k)}")
     if not cfg.s_values:
         raise DomainError("engine_sweep requires at least one power s")
     for s in cfg.s_values:
         if s < 1:
-            raise DomainError(f"engine_sweep requires every power s >= 1, got {s}")
+            raise DomainError(f"engine_sweep requires every power s >= 1, got {show_int(s)}")
     powers = sorted(set(cfg.s_values))
     count = cfg.max_n * len(powers) * (cfg.max_k + 1)
     if count > MAX_BLOCKS:
@@ -160,7 +160,7 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
     blocks = _blocks(cfg)
     space = blocks[-1][0]
     if cfg.cap < 0:
-        raise DomainError(f"engine_sweep requires cap >= 0, got {cfg.cap}")
+        raise DomainError(f"engine_sweep requires cap >= 0, got {show_int(cfg.cap)}")
     subsampled = space > cfg.cap
     positions = range(space)
     if subsampled:

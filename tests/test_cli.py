@@ -46,6 +46,25 @@ class TestCount:
         assert code == 0
         assert "count = 3" in out
 
+    def test_json_builds_no_text(self, capsys, monkeypatch):
+        def no_text(record):
+            raise AssertionError("text built under --format json")
+
+        monkeypatch.setattr(cli, "_pairs", no_text)
+        code, out, err = run_cli(
+            capsys, "count", "--n", "4", "--s", "2", "--b", "5", "--t", "1,2",
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        rec = json.loads(out)
+        assert rec.pop("elapsed_ms") >= 0
+        assert rec == {
+            "command": "count",
+            "engine": "formula",
+            "params": {"b": 5, "modulus": 16, "n": 4, "s": 2, "t": [1, 2]},
+            "result": {"count": "3"},
+        }
+
     def test_multiplicity_flag_equivalent_to_t_list(self, capsys):
         _, out_t, _ = run_cli(
             capsys, "count", "--n", "4", "--s", "2", "--b", "5", "--t", "1,2",

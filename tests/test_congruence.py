@@ -1,14 +1,16 @@
+import argparse
 import itertools
 import math
 import random
+import sys
 import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rescong import congruence
-from rescong.arith import divisors, generalized_gcd, jordan_totient
+from rescong import cli, congruence
+from rescong.arith import divisors, generalized_gcd, jordan_totient, mobius
 from rescong.congruence import (
     ClassProfile,
     CongruenceInstance,
@@ -18,13 +20,30 @@ from rescong.congruence import (
     count_restricted,
     fourier_numerator,
 )
-from rescong.errors import BudgetExceededError, ConsistencyError, DomainError
+from rescong.errors import SHOWN_BITS, BudgetExceededError, ConsistencyError, DomainError, show_int
+from rescong.oracle import (
+    brute_force_count,
+    cohen_ramanujan_direct,
+    convolution_count,
+    enumerate_solutions,
+)
 from rescong.ramanujan import cohen_ramanujan
 from rescong.verification import SweepConfig, engine_sweep, instance_space_size
 
 from reference import count_units_nicol, count_units_rademacher, count_unrestricted_lehmer
 
 WORKED = CongruenceInstance(n=4, s=2, b=5, restrictions=(1, 2))
+# 5001 digits, past the interpreter's default 4300-digit int <-> str cap.
+PAST_CAP = 10**5000
+
+
+@pytest.fixture
+def default_digit_cap():
+    """Run under the interpreter's default cap on int <-> str conversion."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(cap)
 
 
 def members_by_scan(n, s, d):
@@ -77,8 +96,8 @@ class TestInstance:
     @pytest.mark.parametrize(
         "args,message",
         [
-            ((0, 1, 0, ()), "modulus base n must be >= 1, got 0"),
-            ((4, 0, 0, ()), "power s must be >= 1, got 0"),
+            ((0, 1, 0, ()), "n**s requires n, s >= 1"),
+            ((4, 0, 0, ()), "n**s requires n, s >= 1"),
             ((4, 2, 5, (1, 3)), "restriction t_2 = 3 is not a positive divisor of n = 4"),
             ((4, 1, 0, (0,)), "restriction t_1 = 0 is not a positive divisor of n = 4"),
         ],
@@ -466,6 +485,89 @@ class TestPowerBound:
         assert cohen_ramanujan(1, self.HUGE, 7) == 1
         assert jordan_totient(1, self.HUGE) == 1
         assert class_members(1, self.HUGE, 1) == [1]
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            (lambda n, s: CongruenceInstance(n, s, 0), "n**s requires n, s >= 1"),
+            (lambda n, s: class_members(n, s, 1), "n**s requires n, s >= 1"),
+            (jordan_totient, "n**s requires n, s >= 1"),
+            (lambda r, s: cohen_ramanujan(r, s, 0), "r**s requires r, s >= 1"),
+            (lambda r, s: cohen_ramanujan_direct(r, s, 0), "r**s requires r, s >= 1"),
+            (
+                lambda n, s: cli.cmd_classes(
+                    argparse.Namespace(n=n, s=s, elements=False, budget=None)
+                ),
+                "n**s requires n, s >= 1",
+            ),
+        ],
+        ids=["instance", "class_members", "jordan_totient", "cohen_ramanujan",
+             "cohen_ramanujan_direct", "cli_classes"],
+    )
+    @pytest.mark.parametrize(
+        "base,exp",
+        [
+            pytest.param(base, exp, id=f"{base_id}-{exp_id}")
+            for (base, base_id), (exp, exp_id) in itertools.product(
+                [(6, "6"), (0, "0"), (-PAST_CAP, "-10**5000")],
+                [(2, "2"), (0, "0"), (-PAST_CAP, "-10**5000")],
+            )
+            if (base, exp) != (6, 2)
+        ],
+    )
+    def test_base_or_exponent_below_one_is_refused_by_the_gate(
+        self, default_digit_cap, entry, message, base, exp
+    ):
+        with pytest.raises(DomainError) as info:
+            entry(base, exp)
+        assert str(info.value) == message
+
+
+class TestMessagesUnderDigitCap:
+    """No error message prints an integer past the default int -> str cap."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: count_restricted(CongruenceInstance(PAST_CAP, 1, 0, ())),
+            lambda: cohen_ramanujan(PAST_CAP, 1, 0),
+            lambda: CongruenceInstance(6, 1, 0, (PAST_CAP,)),
+            lambda: class_members(6, 1, PAST_CAP),
+            lambda: generalized_gcd(PAST_CAP, PAST_CAP, 2),
+            lambda: divisors(PAST_CAP),
+            lambda: mobius(-PAST_CAP),
+            lambda: generalized_gcd(4, 8, -PAST_CAP),
+            lambda: enumerate_solutions(WORKED, -PAST_CAP),
+            lambda: engine_sweep(SweepConfig(max_n=-PAST_CAP)),
+            lambda: engine_sweep(SweepConfig(max_n=2, s_values=(-PAST_CAP,))),
+        ],
+        ids=["count", "cohen_ramanujan", "restriction", "class_members", "ggcd", "divisors",
+             "mobius", "ggcd_power", "limit", "sweep_max_n", "sweep_power"],
+    )
+    def test_domain_error_gives_the_size_of_a_huge_input(self, default_digit_cap, call):
+        with pytest.raises(DomainError, match=r"integer of 16610 bits"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: class_members(2, 20000, 1),
+            lambda: brute_force_count(CongruenceInstance(2, 20000, 0, (1,))),
+            lambda: convolution_count(CongruenceInstance(2, 20000, 0, (1,))),
+            lambda: class_members(2 * PAST_CAP, 1, PAST_CAP, budget=1),
+        ],
+        ids=["class_members", "brute_force", "convolution", "class_of_huge_d"],
+    )
+    def test_budget_error_gives_the_size_of_a_huge_number(self, default_digit_cap, call):
+        # 2**20000, a class or tuple space or modulus, has 6021 digits; d = 10**5000 has 5001.
+        with pytest.raises(BudgetExceededError, match=r"integer of (2000\d|16610) bits"):
+            call()
+
+    def test_decimal_up_to_shown_bits(self):
+        with pytest.raises(DomainError, match=r"^mobius requires n >= 1, got -5$"):
+            mobius(-5)
+        assert show_int(1 - 2**SHOWN_BITS) == str(1 - 2**SHOWN_BITS)
+        assert show_int(2**SHOWN_BITS) == f"an integer of {SHOWN_BITS + 1} bits"
 
 
 class TestCountBound:
