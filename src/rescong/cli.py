@@ -72,11 +72,7 @@ def _budget(args, keyword: str = "budget") -> dict:
 
 
 def _instance(args) -> tuple[CongruenceInstance, dict]:
-    """The instance named by --n --s --b and --t or --g, and its params.
-
-    Callers write the text header, `_pairs(params)`, only once the engine
-    has answered: n**s in decimal takes seconds near MAX_POWER_BITS.
-    """
+    """The instance named by --n --s --b and --t or --g, and its params."""
     if args.g is not None:
         g = _parse_int_list(args.g, "--g")
         divs = divisors(args.n)
@@ -96,27 +92,25 @@ def _instance(args) -> tuple[CongruenceInstance, dict]:
         restrictions = tuple(_parse_int_list(args.t, "--t"))
     inst = CongruenceInstance(n=args.n, s=args.s, b=args.b, restrictions=restrictions)
     params = {
-        "n": args.n,
-        "s": args.s,
-        "b": args.b,
-        "t": list(restrictions),
-        "modulus": inst.modulus,
+        "n": args.n, "s": args.s, "b": args.b, "t": list(restrictions), "modulus": inst.modulus
     }
     return inst, params
 
 
-def _t_display(restrictions: list[int] | tuple[int, ...]) -> str:
-    return ",".join(map(str, restrictions)) if restrictions else "-"
+def _t_display(values: list[int] | tuple[int, ...]) -> str:
+    return ",".join(map(str, values)) if values else "-"
 
 
 def _pairs(record: dict) -> str:
-    """`record` as key=value pairs, with t written as --t takes it."""
-    return " ".join(f"{key}={_t_display(v) if key == 't' else v}" for key, v in record.items())
+    """`record` as key=value pairs, each list written as --t takes it."""
+    shown = (f"{k}={_t_display(v) if isinstance(v, list) else v}" for k, v in record.items())
+    return " ".join(shown)
 
 
-# What every cmd_* returns: params, result and the text lines.  main prints
-# the lines, or with --format json one record built from params and result.
-_Reply = tuple[dict, dict, list[str]]
+# Every cmd_* returns params, result and `text`, a function that builds the
+# text lines from them.  main calls it only for --format text: n**s in
+# decimal takes seconds near MAX_POWER_BITS, so no text is built for json.
+_Reply = tuple[dict, dict, "Callable[[], list[str]]"]
 
 
 def cmd_count(args) -> _Reply:
@@ -129,39 +123,40 @@ def cmd_count(args) -> _Reply:
     else:
         value = convolution_count(inst, **budget)
     result = {"count": str(value)}
-    if args.format == "json":  # main prints only the record
-        return params, result, []
-    return params, result, [f"{_pairs(params)} engine={args.engine}", f"count = {result['count']}"]
+    header = params | {"engine": args.engine}
+    return params, result, lambda: [_pairs(header), f"count = {result['count']}"]
 
 
 def cmd_ramanujan(args) -> _Reply:
-    value = cohen_ramanujan(args.r, args.s, args.m)
     params = {"r": args.r, "s": args.s, "m": args.m}
-    return params, {"value": str(value)}, [f"c_{{{args.r},{args.s}}}({args.m}) = {value}"]
+    result = {"value": str(cohen_ramanujan(args.r, args.s, args.m))}
+    return params, result, lambda: ["c_{{{r},{s}}}({m}) = {value}".format(**params, **result)]
 
 
 def cmd_ggcd(args) -> _Reply:
     g = generalized_gcd(args.a, args.b, args.s)
     params = {"a": args.a, "b": args.b, "s": args.s}
     result = {"value": str(g.value), "base": str(g.base), "power": g.power}
-    return params, result, [f"({args.a}, {args.b})_{args.s} = {g.value}", f"base l = {g.base}"]
+    return params, result, lambda: [
+        "({a}, {b})_{s} = {value}".format(**params, **result), f"base l = {result['base']}"
+    ]
 
 
 def cmd_classes(args) -> _Reply:
     check_power(args.n, args.s, "n**s")
-    rows, lines = [], []
+    rows = []
     for d in divisors(args.n):
         row: dict = {"d": d, "size": str(jordan_totient(args.n // d, args.s))}
-        line = f"d={d} size={row['size']}"
         if args.elements:
             row["members"] = class_members(args.n, args.s, d, **_budget(args))
-            line += " members=" + ",".join(map(str, row["members"]))
         rows.append(row)
-        lines.append(line)
     modulus = args.n**args.s
-    lines = [f"n={args.n} s={args.s} modulus={modulus}", *lines, f"total = {modulus}"]
     params = {"n": args.n, "s": args.s, "modulus": modulus, "elements": bool(args.elements)}
-    return params, {"rows": rows, "total": str(modulus)}, lines
+    result = {"rows": rows, "total": str(modulus)}
+    header = {"n": args.n, "s": args.s, "modulus": result["total"]}
+    return params, result, lambda: [
+        _pairs(header), *map(_pairs, rows), f"total = {result['total']}"
+    ]
 
 
 def cmd_solve(args) -> _Reply:
@@ -170,22 +165,18 @@ def cmd_solve(args) -> _Reply:
         raise DomainError(f"limit must be >= 1, got {args.limit}")
     # One walk: keep the first --limit solutions, count the rest.
     walk = _matching_tuples(inst, **_budget(args))
-    solutions = list(itertools.islice(walk, min(args.limit, sys.maxsize)))
-    total = len(solutions) + sum(1 for _ in walk)
-    header = _pairs(params)
-    params["limit"] = args.limit
-    result = {"solutions": [list(sol) for sol in solutions], "count": str(total)}
-    lines = [header] + [",".join(map(str, sol)) if sol else "()" for sol in solutions]
-    return params, result, lines + [f"count = {total}"]
+    solutions = [list(sol) for sol in itertools.islice(walk, min(args.limit, sys.maxsize))]
+    result = {"solutions": solutions, "count": str(len(solutions) + sum(1 for _ in walk))}
+    return params | {"limit": args.limit}, result, lambda: [
+        _pairs(params),
+        *(",".join(map(str, sol)) if sol else "()" for sol in solutions),
+        f"count = {result['count']}",
+    ]
 
 
 def cmd_verify(args) -> _Reply:
-    # Flags not given keep SweepConfig's defaults, as --budget keeps cap's.
-    given = {"max_n": args.max_n, "max_k": args.max_k, "seed": args.seed}
-    if args.s is not None:
-        given["s_values"] = tuple(_parse_int_list(args.s, "--s"))
-    fields = {name: value for name, value in given.items() if value is not None}
-    cfg = SweepConfig(**fields, **_budget(args, "cap"))
+    s_values = tuple(_parse_int_list(args.s, "--s"))
+    cfg = SweepConfig(args.max_n, s_values, args.max_k, args.seed, **_budget(args, "cap"))
     sweep = engine_sweep(cfg)
     params = cfg._asdict()
     params["s"] = list(params.pop("s_values"))
@@ -200,29 +191,30 @@ def cmd_verify(args) -> _Reply:
         "engine_ms": sweep.engine_ms,
         "refused": sweep.refused,
     }
-    mode = "subsampled" if sweep.subsampled else "exhaustive"
+    return params, result, lambda: _verify_text(result)
+
+
+def _verify_text(r: dict) -> list[str]:
+    mode = "subsampled" if r["subsampled"] else "exhaustive"
+    times = ", ".join(f"{key.replace('_', ' ')} {ms:.3f} ms" for key, ms in r["engine_ms"].items())
+    refused = ", ".join(f"{key.replace('_', ' ')} {n}" for key, n in r["refused"].items())
     lines = [
-        f"engine sweep: {sweep.checked} instances checked "
-        f"(space {sweep.space}, {mode}), {len(sweep.mismatches)} mismatches",
-        f"identity suites: {sweep.identity_checks} checks, {len(sweep.identity_failures)} failures",
-        "engine time: "
-        + ", ".join(f"{key.replace('_', ' ')} {ms:.3f} ms" for key, ms in sweep.engine_ms.items()),
+        f"engine sweep: {r['instances_checked']} instances checked "
+        f"(space {r['instance_space']}, {mode}), {len(r['mismatches'])} mismatches",
+        f"identity suites: {r['identity_checks']} checks, {len(r['identity_failures'])} failures",
+        f"engine time: {times}",
+        *([f"engine refusals: {refused}"] if any(r["refused"].values()) else []),
+        *(f"MISMATCH {_pairs(miss)}" for miss in r["mismatches"][:10]),
+        *(f"FAILURE {failure}" for failure in r["identity_failures"][:10]),
     ]
-    if any(sweep.refused.values()):
-        lines.append(
-            "engine refusals: "
-            + ", ".join(f"{key.replace('_', ' ')} {n}" for key, n in sweep.refused.items())
-        )
-    lines += [f"MISMATCH {_pairs(miss)}" for miss in sweep.mismatches[:10]]
-    lines += [f"FAILURE {failure}" for failure in sweep.identity_failures[:10]]
-    if sweep.mismatches:
-        first = sweep.mismatches[0]
+    if r["mismatches"]:
+        first = r["mismatches"][0]
         lines.append(
             f"reproduce: rescong count --n {first['n']} --s {first['s']} "
             f"--b {first['b']} --t {_t_display(first['t'])} --engine brute"
         )
-    lines.append("ok" if sweep.ok else "MISMATCH DETECTED")
-    return params, result, lines
+    lines.append("ok" if r["ok"] else "MISMATCH DETECTED")
+    return lines
 
 
 def _add_instance_flags(sub) -> None:
@@ -269,11 +261,12 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=int, help="tuple enumeration budget")
     p.set_defaults(handler=cmd_solve)
 
+    cfg = SweepConfig()
     p = subs.add_parser("verify", help="engine-agreement sweep plus identity suites")
-    p.add_argument("--max-n", type=int)
-    p.add_argument("--s", help="comma list of powers to sweep")
-    p.add_argument("--max-k", type=int)
-    p.add_argument("--seed", type=int, help="seed for the subsample, if any")
+    p.add_argument("--max-n", type=int, default=cfg.max_n)
+    p.add_argument("--s", default=_t_display(cfg.s_values), help="comma list of powers to sweep")
+    p.add_argument("--max-k", type=int, default=cfg.max_k)
+    p.add_argument("--seed", type=int, default=cfg.seed, help="seed for the subsample, if any")
     p.add_argument("--budget", type=int, help="instance cap before subsampling kicks in")
     p.set_defaults(handler=cmd_verify)
 
@@ -293,17 +286,15 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_help()
             return 1
         t0 = time.perf_counter()
-        params, result, lines = args.handler(args)
-        if args.format == "json":
-            record = {
-                "command": args.subcommand,
-                "params": params,
-                "engine": getattr(args, "engine", None),
-                "result": result,
-                "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-            }
-            lines = [canonical_json(record)]
-        print("\n".join(lines))
+        params, result, text = args.handler(args)
+        record = {
+            "command": args.subcommand,
+            "params": params,
+            "engine": getattr(args, "engine", None),
+            "result": result,
+            "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
+        }
+        print(canonical_json(record) if args.format == "json" else "\n".join(text()))
         # Only verify reports "ok"; false there is a verification mismatch.
         return 0 if result.get("ok", True) else 2
     except _UsageError as exc:

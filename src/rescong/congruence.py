@@ -35,7 +35,7 @@ from functools import lru_cache
 from operator import getitem, mul
 
 from .arith import check_power, divisors, factorize
-from .errors import BudgetExceededError, ConsistencyError, DomainError, show_int
+from .errors import BudgetExceededError, ConsistencyError, DomainError, show_instance, show_int
 from .ramanujan import capped_valuation, prime_power_table
 
 # Ceiling on the (n/d)**s slots scanned to enumerate one class C(d).
@@ -224,8 +224,11 @@ def count_restricted(instance: CongruenceInstance) -> int:
     if remainder != 0:
         DIVISIBILITY_STATS["failed"] += 1
         raise ConsistencyError(
-            f"formula sum {numerator} is not divisible by modulus {modulus} for {instance}"
+            f"formula sum {show_int(numerator)} is not divisible by modulus {show_int(modulus)} "
+            f"for {show_instance(instance)}"
         )
     if count < 0:
-        raise ConsistencyError(f"negative solution count {count} for {instance}")
+        raise ConsistencyError(
+            f"negative solution count {show_int(count)} for {show_instance(instance)}"
+        )
     return count

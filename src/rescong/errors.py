@@ -13,6 +13,11 @@ def show_int(n: int) -> str:
     return f"{'a negative' if n < 0 else 'an'} integer of {n.bit_length()} bits"
 
 
+def show_instance(inst) -> str:
+    """A congruence instance by its n, s and b through show_int, and its k."""
+    return f"n={show_int(inst.n)} s={show_int(inst.s)} b={show_int(inst.b)} k={inst.k}"
+
+
 class DomainError(ValueError):
     """An argument falls outside an operation's domain."""
 

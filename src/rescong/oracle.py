@@ -16,7 +16,7 @@ import sys
 
 from .arith import check_power, jordan_totient
 from .congruence import DEFAULT_CLASS_BUDGET, CongruenceInstance, class_members
-from .errors import BudgetExceededError, ConsistencyError, DomainError, show_int
+from .errors import BudgetExceededError, ConsistencyError, DomainError, show_instance, show_int
 
 DEFAULT_TUPLE_BUDGET = 10**7
 DEFAULT_VECTOR_BUDGET = 10**5
@@ -85,8 +85,8 @@ def convolution_count(instance: CongruenceInstance, budget: int = DEFAULT_VECTOR
         expected_mass *= len(members)
         if sum(vec) != expected_mass:
             raise ConsistencyError(
-                f"convolution mass {sum(vec)} != expected {expected_mass} "
-                f"after class t={t} of {instance}"
+                f"convolution mass {show_int(sum(vec))} != expected {show_int(expected_mass)} "
+                f"after class t={show_int(t)} of {show_instance(instance)}"
             )
     return vec[instance.b]
 
@@ -122,7 +122,8 @@ def cohen_ramanujan_direct(r: int, s: int, n: int, budget: int = DEFAULT_DIRECT_
     tol = DIRECT_TOLERANCE
     if abs(total.imag) >= tol or abs(total.real - nearest) >= tol:
         raise ConsistencyError(
-            f"direct sum for c_{{{r},{s}}}({n}) = {total!r} is not within {tol} of an integer"
+            f"direct sum for c_{{{show_int(r)},{show_int(s)}}}({show_int(n)}) = {total!r} "
+            f"is not within {tol} of an integer"
         )
     return int(nearest)
 

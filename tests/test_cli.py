@@ -230,6 +230,40 @@ class TestJsonContract:
         assert set(rec) == {"command", "params", "engine", "result", "elapsed_ms"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "4", "--s", "2", "--b", "5", "--t", "1,2"],
+        ["solve", "--n", "4", "--s", "2", "--b", "5", "--t", "1,2"],
+        ["classes", "--n", "4", "--s", "2", "--elements"],
+        ["ramanujan", "--r", "4", "--s", "2", "--m", "16"],
+        ["ggcd", "--a", "12", "--b", "16", "--s", "2"],
+        ["verify", "--max-n", "2", "--s", "1", "--max-k", "1"],
+    ],
+    ids=["count", "solve", "classes", "ramanujan", "ggcd", "verify_mismatch"],
+)
+def test_json_builds_no_text_in_any_command(capsys, monkeypatch, argv):
+    # One engine in the sweep disagrees, so verify has MISMATCH lines to skip.
+    wrong = types.SimpleNamespace(count=lambda inst: -1)
+    engines = dict(verification._ENGINES, convolution=(wrong, "count"))
+    monkeypatch.setattr(verification, "_ENGINES", engines)
+
+    def run():
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        rec = json.loads(out)
+        rec.pop("elapsed_ms")
+        rec["result"].pop("engine_ms", None)
+        return code, rec, err
+
+    def no_text(record):
+        raise AssertionError("text built under --format json")
+
+    unpatched = run()
+    assert unpatched[0] == (2 if argv[0] == "verify" else 0)
+    monkeypatch.setattr(cli, "_pairs", no_text)
+    assert run() == unpatched
+
+
 class TestRamanujan:
     def test_worked_value(self, capsys):
         code, out, _ = run_cli(capsys, "ramanujan", "--r", "4", "--s", "2", "--m", "16")

@@ -563,6 +563,26 @@ class TestMessagesUnderDigitCap:
         with pytest.raises(BudgetExceededError, match=r"integer of (2000\d|16610) bits"):
             call()
 
+    @pytest.mark.parametrize(
+        "numerator, b, message",
+        [
+            (2**20000 + 1, 0, "formula sum an integer of 20001 bits is not divisible by "
+             "modulus an integer of 20001 bits for n=2 s=20000 b=0 k=0"),
+            (-(2**20000), 2**19999 + 1,
+             "negative solution count -1 for n=2 s=20000 b=an integer of 20000 bits k=0"),
+        ],
+        ids=["not_divisible", "negative"],
+    )
+    def test_consistency_error_gives_the_size_of_a_huge_number(
+        self, monkeypatch, default_digit_cap, numerator, b, message
+    ):
+        # n**s = 2**20000 has 6021 digits; a copy of the stats keeps the
+        # acceptance suite's "never fired" true.
+        monkeypatch.setattr(congruence, "DIVISIBILITY_STATS", dict(congruence.DIVISIBILITY_STATS))
+        monkeypatch.setattr(congruence, "fourier_numerator", lambda instance: numerator)
+        with pytest.raises(ConsistencyError, match=f"^{message}$"):
+            count_restricted(CongruenceInstance(2, 20000, b, ()))
+
     def test_decimal_up_to_shown_bits(self):
         with pytest.raises(DomainError, match=r"^mobius requires n >= 1, got -5$"):
             mobius(-5)
