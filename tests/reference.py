@@ -21,6 +21,11 @@ from rescong.errors import ConsistencyError, DomainError
 from rescong.ramanujan import cohen_ramanujan
 
 
+def is_prime(n: int) -> bool:
+    """Primality by trial division over every f with 2 <= f <= sqrt(n)."""
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
 def count_unrestricted_lehmer(coefficients, b: int, n: int) -> int:
     """Unrestricted count of a_1*x_1 + ... + a_k*x_k == b (mod n) over Z_n**k.
 

@@ -14,7 +14,7 @@ import itertools
 import time
 
 from rescong import congruence
-from rescong.arith import divisors
+from rescong.arith import divisors, factorize
 from rescong.congruence import CongruenceInstance, count_restricted, fourier_numerator
 from rescong.oracle import class_character_sum, cohen_ramanujan_direct, enumerate_solutions
 from rescong.ramanujan import cohen_ramanujan
@@ -189,3 +189,11 @@ def test_criterion_9_character_sum_identity():
         f"class character sums match c_(n/d, s)(m) within 1e-6 on {checks} "
         f"(n, s, d, m) cells in {elapsed:.1f}s < 30 s",
     )
+
+
+def test_criterion_10_prime_near_factorize_limit():
+    p = 999999999989  # the largest prime below FACTORIZE_LIMIT = 10**12
+    assert factorize(p) == ((p, 1),)
+    best = _best_of(lambda: factorize.__wrapped__(p), runs=3)
+    assert best < 5e-3
+    _passed(10, f"factorize({p}) is prime with no memo in {best * 1e3:.2f} ms < 5 ms")

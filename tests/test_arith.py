@@ -13,19 +13,11 @@ from rescong.arith import (
     generalized_gcd,
     jordan_totient,
     mobius,
+    _is_prime,
 )
 from rescong.errors import DomainError
 
-
-def trial_is_prime(p):
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
+from reference import is_prime as trial_is_prime
 
 
 def scan_divisors(n):
@@ -44,6 +36,33 @@ def scan_ggcd(a, b, s):
             best = max(best, ls)
         l += 1
     return best
+
+
+class TestIsPrime:
+    def test_matches_trial_division_below_200000(self):
+        assert [n for n in range(200_000) if _is_prime(n) != trial_is_prime(n)] == []
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            2047,  # strong pseudoprime to base 2
+            1373653,  # to bases 2 and 3
+            25326001,  # to bases 2, 3 and 5
+            3215031751,  # to bases 2, 3, 5 and 7
+            561,  # Carmichael numbers
+            41041,
+            825265,
+        ],
+    )
+    def test_pseudoprimes_are_composite(self, n):
+        assert not trial_is_prime(n)
+        assert not _is_prime(n)
+
+    def test_exact_bound_is_past_the_factorization_limit(self):
+        # 3474749660383 = 1303 * 16927 * 157543 is the least strong
+        # pseudoprime to all six bases; every number below it is decided.
+        assert 1303 * 16927 * 157543 == 3474749660383 > FACTORIZE_LIMIT
+        assert _is_prime(3474749660383)
 
 
 class TestFactorize:
@@ -66,6 +85,21 @@ class TestFactorize:
     def test_rejects_beyond_limit(self):
         with pytest.raises(DomainError):
             factorize(FACTORIZE_LIMIT + 1)
+
+    @pytest.mark.parametrize(
+        "n,expected",
+        [
+            (999999999989, ((999999999989, 1),)),  # the largest prime below 10**12
+            (2 * 499999999979, ((2, 1), (499999999979, 1))),
+            # composite, so trial division still has to find 999983
+            (999983**2, ((999983, 2),)),
+            (3215031751, ((151, 1), (751, 1), (28351, 1))),
+            (10**12, ((2, 12), (5, 12))),
+        ],
+    )
+    def test_near_the_limit(self, n, expected):
+        assert factorize(n) == expected
+        assert all(trial_is_prime(p) for p, _ in expected)
 
     def test_large_semiprime_within_limit(self):
         n = 999983 * 999979

@@ -285,6 +285,16 @@ class TestRamanujan:
         assert code == 0 and err == ""
         assert out.strip() == "c_{1000003,2}(0) = 1000006000008"
 
+    def test_prime_near_factorization_limit(self, capsys):
+        code, out, err = run_cli(capsys, "ramanujan", "--r", "999999999989", "--s", "1", "--m", "0")
+        assert code == 0 and err == ""
+        assert out.strip() == "c_{999999999989,1}(0) = 999999999988"
+
+    def test_r_past_factorization_limit_is_named(self, capsys):
+        code, out, err = run_cli(capsys, "ramanujan", "--r", str(2**60), "--s", "1", "--m", "0")
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot factor {2**60}: the limit is 1000000000000\n"
+
     def test_rejects_zero_modulus(self, capsys):
         code, _, err = run_cli(capsys, "ramanujan", "--r", "0", "--s", "1", "--m", "0")
         assert code == 1
@@ -311,6 +321,12 @@ class TestGgcd:
             "(4000000000000, 6000000000000)_1 = 2000000000000",
             "base l = 2000000000000",
         ]
+
+    def test_gcd_past_factorization_limit_is_named(self, capsys):
+        # the number refused is gcd(a, b) = 2**60; the user gave no n
+        code, out, err = run_cli(capsys, "ggcd", "--a", str(2**60), "--b", "0", "--s", "2")
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot factor {2**60}: the limit is 1000000000000\n"
 
     def test_both_zero_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "ggcd", "--a", "0", "--b", "0", "--s", "2")
