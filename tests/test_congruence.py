@@ -449,8 +449,11 @@ class TestLargeModulus:
     def test_matches_local_convolution_product(self):
         # every p**(e*s) of 720720**2 is at most 2**8, so the oracle is cheap
         n, s = 720720, 2
+        rng = random.Random(26)
+        divs = divisors(n)
+        large_k = [tuple(rng.choice(divs) for _ in range(k)) for k in (63, 251)]
         for b in self.targets(n, s):
-            for ts in [(1, 1), (2, 3), (4, 15, 720720), (1, 6, 11, 5040), (13,) * 5]:
+            for ts in [(1, 1), (2, 3), (4, 15, 720720), (1, 6, 11, 5040), (13,) * 5, *large_k]:
                 inst = CongruenceInstance(n, s, b, ts)
                 assert count_restricted(inst) == count_by_local_convolution(inst)
 

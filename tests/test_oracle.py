@@ -3,9 +3,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rescong import oracle
 from rescong.arith import divisors, generalized_gcd
 from rescong.congruence import CongruenceInstance, class_members, count_restricted
-from rescong.errors import BudgetExceededError, DomainError
+from rescong.errors import BudgetExceededError, ConsistencyError, DomainError
 from rescong.oracle import (
     brute_force_count,
     class_character_sum,
@@ -94,6 +95,33 @@ class TestConvolution:
         assert convolution_count(inst, budget=2 * 10**6) == 1
         with pytest.raises(BudgetExceededError):
             convolution_count(inst, budget=10**6)
+
+    @pytest.mark.parametrize("n,s,t", [(6, 1, 1), (4, 2, 2)])
+    def test_repeated_squaring_matches_brute_force(self, n, s, t):
+        # g = 1..9 walks odd and even exponents through the square-and-multiply loop.
+        for g in range(1, 10):
+            for b in range(n**s):
+                inst = CongruenceInstance(n, s, b, (t,) * g)
+                assert convolution_count(inst) == brute_force_count(inst), (g, b)
+
+    def test_mixed_classes_at_s_3(self):
+        # |C(1)| = 56, |C(2)| = 7, |C(4)| = 1 mod 4**3; t = 2 is squared.
+        for b in range(4**3):
+            inst = CongruenceInstance(4, 3, b, (2, 1, 2, 4))
+            assert convolution_count(inst) == brute_force_count(inst), b
+
+    def test_mass_check_fires(self, monkeypatch):
+        # A member listed twice adds to the expected mass but not to the
+        # 0/1 indicator, so the slots sum short of it.
+        real = oracle.class_members
+
+        def doubled_first(n, s, t, budget):
+            members = real(n, s, t, budget)
+            return members + members[:1]
+
+        monkeypatch.setattr(oracle, "class_members", doubled_first)
+        with pytest.raises(ConsistencyError, match="convolution mass"):
+            convolution_count(WORKED)
 
     def test_total_mass_is_product_of_class_sizes(self):
         # summing the count over every target b recovers the tuple space size
