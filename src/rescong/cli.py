@@ -25,10 +25,11 @@ import itertools
 import json
 import sys
 import time
+from collections.abc import Callable
 
 from .arith import check_power, divisors, generalized_gcd, jordan_totient
 from .congruence import CongruenceInstance, class_members, count_restricted
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, DomainError, show_int
 from .oracle import _matching_tuples, brute_force_count, convolution_count
 from .ramanujan import cohen_ramanujan
 from .verification import SweepConfig, engine_sweep
@@ -67,7 +68,7 @@ def _budget(args, keyword: str = "budget") -> dict:
     if args.budget is None:
         return {}
     if args.budget < 0:
-        raise _UsageError(f"--budget must be >= 0, got {args.budget}")
+        raise _UsageError(f"--budget must be >= 0, got {show_int(args.budget)}")
     return {keyword: args.budget}
 
 
@@ -110,7 +111,7 @@ def _pairs(record: dict) -> str:
 # Every cmd_* returns params, result and `text`, a function that builds the
 # text lines from them.  main calls it only for --format text: n**s in
 # decimal takes seconds near MAX_POWER_BITS, so no text is built for json.
-_Reply = tuple[dict, dict, "Callable[[], list[str]]"]
+_Reply = tuple[dict, dict, Callable[[], list[str]]]
 
 
 def cmd_count(args) -> _Reply:
@@ -162,7 +163,7 @@ def cmd_classes(args) -> _Reply:
 def cmd_solve(args) -> _Reply:
     inst, params = _instance(args)
     if args.limit < 1:
-        raise DomainError(f"limit must be >= 1, got {args.limit}")
+        raise DomainError(f"limit must be >= 1, got {show_int(args.limit)}")
     # One walk: keep the first --limit solutions, count the rest.
     walk = _matching_tuples(inst, **_budget(args))
     solutions = [list(sol) for sol in itertools.islice(walk, min(args.limit, sys.maxsize))]

@@ -82,14 +82,8 @@ class CongruenceInstance(namedtuple("CongruenceInstance", "n s b restrictions"))
         return len(self.restrictions)
 
 
-class ClassProfile(namedtuple("ClassProfile", "divisors multiplicities")):
-    """Divisors d_1 < ... < d_tau of n with g_j = #(restrictions equal to d_j)."""
-
-    __slots__ = ()
-
-    @property
-    def k(self) -> int:
-        return sum(self.multiplicities)
+ClassProfile = namedtuple("ClassProfile", "divisors multiplicities")
+ClassProfile.__doc__ = "Divisors d_1 < ... < d_tau of n with g_j = #(restrictions equal to d_j)."
 
 
 def class_profile(instance: CongruenceInstance) -> ClassProfile:

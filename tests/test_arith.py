@@ -95,6 +95,11 @@ class TestFactorize:
             (999983**2, ((999983, 2),)),
             (3215031751, ((151, 1), (751, 1), (28351, 1))),
             (10**12, ((2, 12), (5, 12))),
+            # a prime power, and a large prime left after 2 and 3 or the wheel
+            (2**39, ((2, 39),)),
+            (3**25, ((3, 25),)),
+            (999999999906, ((2, 1), (3, 1), (166666666651, 1))),
+            (999999995995, ((5, 1), (7, 1), (11, 1), (13, 1), (199800199, 1))),
         ],
     )
     def test_near_the_limit(self, n, expected):
@@ -104,6 +109,15 @@ class TestFactorize:
     def test_large_semiprime_within_limit(self):
         n = 999983 * 999979
         assert factorize(n) == ((999979, 1), (999983, 1))
+
+    def test_every_n_below_30000(self):
+        for n in range(1, 30_000):
+            pairs = factorize.__wrapped__(n)
+            assert math.prod(p**e for p, e in pairs) == n
+            primes = [p for p, _ in pairs]
+            assert primes == sorted(set(primes)), n
+            assert all(e >= 1 for _, e in pairs), n
+            assert all(trial_is_prime(p) for p in primes), n
 
     @given(st.integers(min_value=1, max_value=100_000))
     def test_valid_factorization(self, n):

@@ -173,6 +173,12 @@ class TestCount:
         code, out, err = run_cli(capsys, *argv, "--budget", "-1")
         assert (code, out, err) == (1, "", "usage error: --budget must be >= 0, got -1\n")
 
+    def test_huge_negative_budget_is_shown_by_its_size(self, capsys):
+        argv = ["count", "--n", "4", "--s", "2", "--b", "5", "--t", "1,2", "--engine", "brute"]
+        code, out, err = run_cli(capsys, *argv, "--budget", str(-(10**400 - 1)))
+        expected = "usage error: --budget must be >= 0, got a negative integer of 1329 bits\n"
+        assert (code, out, err) == (1, "", expected)
+
     def test_g_at_the_unknown_bound_counts(self, capsys):
         # 2**20 odd unknowns sum to 0 mod 2 in exactly one way.
         code, out, err = run_cli(capsys, "count", "--n", "2", "--s", "1", "--b", "0", "--g", "1048576,0")
@@ -395,6 +401,12 @@ class TestSolve:
             capsys, "solve", "--n", "4", "--s", "2", "--b", "5", "--t", "1,2", "--limit", "0"
         )
         assert (code, out, err) == (1, "", "error: limit must be >= 1, got 0\n")
+
+    def test_huge_negative_limit_is_shown_by_its_size(self, capsys):
+        argv = ["solve", "--n", "4", "--s", "2", "--b", "5", "--t", "1,2"]
+        code, out, err = run_cli(capsys, *argv, "--limit", str(-(10**400 - 1)))
+        expected = "error: limit must be >= 1, got a negative integer of 1329 bits\n"
+        assert (code, out, err) == (1, "", expected)
 
     def test_limit_past_maxsize_lists_every_solution(self, capsys):
         code, out, err = run_cli(

@@ -133,10 +133,7 @@ class TestClassProfile:
 
     def test_empty_restrictions(self):
         profile = class_profile(CongruenceInstance(4, 2, 0, ()))
-        assert profile.multiplicities == (0, 0, 0) and profile.k == 0
-
-    def test_k_counts_unknowns(self):
-        assert class_profile(CongruenceInstance(6, 1, 0, (2, 2, 3))).k == 3
+        assert profile.multiplicities == (0, 0, 0)
 
     def test_multiset_counting(self):
         profile = class_profile(CongruenceInstance(6, 1, 0, (2, 2, 3)))
