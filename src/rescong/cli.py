@@ -145,11 +145,12 @@ def cmd_ggcd(args) -> _Reply:
 
 def cmd_classes(args) -> _Reply:
     check_power(args.n, args.s, "n**s")
+    budget = _budget(args)
     rows = []
     for d in divisors(args.n):
         row: dict = {"d": d, "size": str(jordan_totient(args.n // d, args.s))}
         if args.elements:
-            row["members"] = class_members(args.n, args.s, d, **_budget(args))
+            row["members"] = class_members(args.n, args.s, d, **budget)
         rows.append(row)
     modulus = args.n**args.s
     params = {"n": args.n, "s": args.s, "modulus": modulus, "elements": bool(args.elements)}

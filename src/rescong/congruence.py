@@ -15,15 +15,13 @@ assigned to C(d_j), the number of solutions is
 evaluated here entirely in exact integers.  n is factored once, and
 every c_{r,s} in the sum is a product, over p**e || n, of entries of
 one table of Cohen's prime-power sums per prime, built per call
-(`rescong.ramanujan.prime_power_table`).  Since c_{p**a,s}(m) == 0
-unless p**((a-1)*s) | m, a term is nonzero exactly when, at every p,
-v_p(d) <= cap_p = min(e, v_p(b) // s + 1, v_p(t) + 1 for every t), so
-only that box of divisors is summed.  In the worked example n = 4,
-s = 2, b = 5, t = (1, 2), b is odd, so cap_2 = 1 and d = 4 is the one
-term dropped: c_{4,2}(5) == 0.  The pre-division sum is
-provably a multiple of n**s; `count_restricted` enforces that on every
-call and raises ConsistencyError on violation, since a failure can only
-mean a bug.
+(`rescong.ramanujan.prime_power_table`).  Only the box of divisors
+whose term is nonzero is summed; `_local_factors` states its rule.  In
+the worked example n = 4, s = 2, b = 5, t = (1, 2), b is odd, so
+cap_2 = 1 and d = 4 is the one term dropped: c_{4,2}(5) == 0.  The
+pre-division sum is provably a multiple of n**s; `count_restricted`
+enforces that on every call and raises ConsistencyError on violation,
+since a failure can only mean a bug.
 """
 
 from __future__ import annotations
@@ -135,72 +133,68 @@ def class_members(n: int, s: int, d: int, budget: int = DEFAULT_CLASS_BUDGET) ->
     return list(build(n, s, d))
 
 
-def _term_box(instance: CongruenceInstance):
-    """The box of divisors d of n whose term in the sum is nonzero.
+def _local_factors(instance: CongruenceInstance):
+    """The factors of every nonzero term of the sum, read prime by prime.
 
-    Returns (primes, b_levels, counts, caps): the (p, e) of n, the level
-    min(v_p(b) // s, e) of b at each prime, the multiplicity of each
-    distinct t, and cap_p = min(e, level_p(b) + 1, v_p(gcd of the t) + 1).
-    Table entry [a][j] is zero exactly when j < a - 1, so c_{d,s}(b)
-    vanishes once v_p(d) > level_p(b) + 1, and c_{n/t,s}(n**s / d**s),
-    row e - v_p(t) at level e - v_p(d), once v_p(d) > v_p(t) + 1.
+    Returns (factors, gs), with gs the multiplicity g of each distinct
+    restriction t and one pair (outer, inners) in factors per p**e || n.
+    Both read `prime_power_table(p, e, s)` for a = v_p(d) = 0 .. cap_p:
+    outer[a] = c_{p**a,s}(b), row a at the level j of b, and, for the
+    i-th distinct t, inners[i][a] = c_{p**(e - v_p(t)),s}(p**((e - a)*s)),
+    row e - v_p(t) at level e - a.  The term of d is the product over the
+    primes of outer[a] * prod(inners[i][a] ** g_i).
+
+    The box rule: table entry [a][j] is zero exactly when j < a - 1, so
+    c_{d,s}(b) vanishes once v_p(d) > j + 1 and the factor of t once
+    v_p(d) > v_p(t) + 1.  With cap_p = min(e, j + 1, v_p(t) + 1 for every
+    t), every term outside the box v_p(d) <= cap_p has a zero factor, and
+    no entry listed here is zero.
     """
-    primes = factorize(instance.n)
-    b_levels = [capped_valuation(instance.b, p**instance.s, e) for p, e in primes]
+    s = instance.s
     counts = Counter(instance.restrictions)
-    common = math.gcd(*counts)  # 0 when k == 0, which caps nothing
-    # min(c, v + 1) is min(v, c - 1) + 1, so the valuation stops at c - 1.
-    caps = [
-        capped_valuation(common, p, min(e, j + 1) - 1) + 1
-        for (p, e), j in zip(primes, b_levels)
-    ]
-    return primes, b_levels, counts, caps
+    factors = []
+    for p, e in factorize(instance.n):
+        table = prime_power_table(p, e, s)
+        j = capped_valuation(instance.b, p**s, e)
+        vs = [capped_valuation(t, p, e) for t in counts]
+        cap = min([e, j + 1] + [v + 1 for v in vs])
+        # Every row from level e down to level e - cap, sliced once per prime.
+        inner = [row[e - cap :][::-1] for row in table]
+        factors.append(([row[j] for row in table[: cap + 1]], [inner[e - v] for v in vs]))
+    return factors, list(counts.values())
 
 
 def fourier_numerator(instance: CongruenceInstance) -> int:
     """Pre-division sum of the counting formula; always a multiple of n**s.
 
-    n is factored once and each prime p**e || n gets one table of Cohen's
-    prime-power sums, entry [a][j] = c_{p**a,s}(m) at level
-    j = min(v_p(m) // s, e) (`prime_power_table`).  A divisor d of n is
-    its exponent vector, and every Ramanujan value in the sum is a
-    product of one entry per prime: c_{d,s}(b) reads row v_p(d) at the
-    level of b, and c_{n/t,s}(n**s / d**s) reads row e - v_p(t) at level
-    e - v_p(d), which is entry v_p(d) of that row reversed.  The tables
-    live for one call only.
-
-    Only the divisors with v_p(d) <= cap_p at every prime are visited
-    (`_term_box`): every term outside that box has a zero factor and
-    every term inside it is nonzero, so the sum is exact and no term is
-    tested for zero.  Before the sum, a count whose bound from the class
-    sizes has more than MAX_COUNT_BITS bits is refused with DomainError,
-    whether or not the count itself is small.
+    n is factored once, and every term is a product of one entry per
+    prime of Cohen's prime-power sums.  Only the box of divisors whose
+    term has no zero factor is visited (`_local_factors`), so the sum is
+    exact and no term is tested for zero.  Before the sum, a count whose
+    bound from the class sizes has more than MAX_COUNT_BITS bits is
+    refused with DomainError, whether or not the count itself is small.
     """
-    primes, b_levels, counts, caps = _term_box(instance)
-    tables = [prime_power_table(p, e, instance.s) for p, e in primes]
-    reversed_tables = [[row[::-1] for row in table] for table in tables]
-    # One entry per distinct restriction t: its reversed table row at each
-    # prime (the exponent there of n / t) and the number g of unknowns
-    # pinned to it.
-    groups = [
-        ([rows[e - capped_valuation(t, p, e)] for (p, e), rows in zip(primes, reversed_tables)], g)
-        for t, g in counts.items()
-    ]
+    factors, gs = _local_factors(instance)
+    outers = [outer for outer, _ in factors]
+    # One (columns, g) pair per distinct restriction t: its inner list at
+    # each prime and the number g of unknowns pinned to it.  n = 1 has no
+    # primes and so no pairs: its one term is the empty product 1.
+    groups = list(zip(zip(*(inners for _, inners in factors)), gs))
     # The last unknown is fixed by the others, so the count is at most
-    # prod J_s(n/t_i) over all unknowns but one; J_s(p**a) = c_{p**a,s}(0)
-    # is the first entry of reversed row a.
-    log_sizes = [math.log2(math.prod([row[0] for row in rows])) for rows, _ in groups]
-    bits = sum(map(mul, log_sizes, counts.values())) - max(log_sizes, default=0)
+    # prod J_s(n/t_i) over all unknowns but one; J_s(p**c) = c_{p**c,s}(0)
+    # is a column's entry at a = 0.
+    log_sizes = [math.log2(math.prod([column[0] for column in columns])) for columns, _ in groups]
+    bits = sum(map(mul, log_sizes, gs)) - max(log_sizes, default=0)
     if bits > MAX_COUNT_BITS:
         raise DomainError(
             f"the count's bound from the class sizes has 2**{int(bits).bit_length() - 1} bits "
             f"or more, past the limit of {MAX_COUNT_BITS} bits on a count"
         )
     total = 0
-    for d_exps in itertools.product(*(range(cap + 1) for cap in caps)):
-        term = math.prod(map(getitem, map(getitem, tables, d_exps), b_levels))
-        for rows, g in groups:
-            term *= math.prod(map(getitem, rows, d_exps)) ** g
+    for d_exps in itertools.product(*(range(len(outer)) for outer in outers)):
+        term = math.prod(map(getitem, outers, d_exps))
+        for columns, g in groups:
+            term *= math.prod(map(getitem, columns, d_exps)) ** g
         total += term
     return total
 

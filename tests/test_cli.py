@@ -367,6 +367,10 @@ class TestClasses:
         assert code == 1
         assert "budget" in err
 
+    def test_negative_budget_is_a_usage_error_without_elements(self, capsys):
+        code, out, err = run_cli(capsys, "classes", "--n", "4", "--s", "2", "--budget", "-1")
+        assert (code, out, err) == (1, "", "usage error: --budget must be >= 0, got -1\n")
+
 
 class TestSolve:
     def test_worked_example(self, capsys):

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rescong import cli, congruence
-from rescong.arith import divisors, generalized_gcd, jordan_totient, mobius
+from rescong.arith import divisors, factorize, generalized_gcd, jordan_totient, mobius
 from rescong.congruence import (
     ClassProfile,
     CongruenceInstance,
-    _term_box,
+    _local_factors,
     class_members,
     class_profile,
     count_restricted,
@@ -355,15 +355,45 @@ def warm_instances(n, s, strata):
 
 def assert_box_holds_the_nonzero_terms(instance):
     """A divisor's literal term is nonzero exactly when it lies in the box."""
-    primes, _, _, caps = _term_box(instance)
+    factors, _ = _local_factors(instance)
+    primes = factorize(instance.n)
+    caps = [len(outer) - 1 for outer, _ in factors]
     assert all(0 <= cap <= e for (_, e), cap in zip(primes, caps))
+    for outer, inners in factors:
+        assert all(len(inner) == len(outer) for inner in inners)
+        assert 0 not in outer and not any(0 in inner for inner in inners), (instance, factors)
     for d in divisors(instance.n):
         inside = all(d % p ** (cap + 1) != 0 for (p, _), cap in zip(primes, caps))
         assert (literal_term(instance, d) != 0) == inside, (instance, d, caps)
 
 
+def assert_local_sums_give_the_count(instance):
+    """The count as a product over p**e || n of local counts (CRT).
+
+    Each local sum sum_a outer[a] * prod_i inners[i][a] ** g_i is a
+    multiple of p**(e*s); the sums multiply to the global numerator and
+    the quotients to the count.
+    """
+    factors, gs = _local_factors(instance)
+    numerator = count = 1
+    for (p, e), (outer, inners) in zip(factorize(instance.n), factors):
+        local = sum(
+            x * math.prod(inner[a] ** g for inner, g in zip(inners, gs))
+            for a, x in enumerate(outer)
+        )
+        quotient, remainder = divmod(local, p ** (e * instance.s))
+        assert remainder == 0, (instance, p, local)
+        numerator *= local
+        count *= quotient
+    assert numerator == fourier_numerator(instance)
+    assert count == count_restricted(instance)
+    if instance.modulus <= 2000:
+        assert count == count_by_local_convolution(instance)
+
+
 class TestTermBox:
-    """fourier_numerator visits exactly the divisors with a nonzero term."""
+    """fourier_numerator visits exactly the divisors with a nonzero term,
+    and its per-prime factors give the count prime by prime."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 200), st.integers(1, 3), st.integers(-(10**9), 10**9), st.data())
@@ -371,18 +401,30 @@ class TestTermBox:
         # b = c * x with c | n**s, so the level of b reaches every cap.
         c = data.draw(st.sampled_from(divisors(n**s)))
         ts = data.draw(st.lists(st.sampled_from(divisors(n)), max_size=4))
-        assert_box_holds_the_nonzero_terms(CongruenceInstance(n, s, c * x, ts))
+        inst = CongruenceInstance(n, s, c * x, ts)
+        assert_box_holds_the_nonzero_terms(inst)
+        assert_local_sums_give_the_count(inst)
 
     @pytest.mark.parametrize("n", WARM_NS)
     @pytest.mark.parametrize("s", [1, 2])
     def test_warm_moduli(self, n, s):
         for inst in warm_instances(n, s, WARM_STRATA[:4]):
             assert_box_holds_the_nonzero_terms(inst)
+        for inst in warm_instances(n, s, WARM_STRATA):
+            assert_local_sums_give_the_count(inst)
 
     def test_worked_example_box(self):
         # b = 5 is odd, so cap_2 = 1 at n = 4 = 2**2: d = 4 is the one term dropped.
-        assert _term_box(WORKED)[3] == [1]
+        factors, gs = _local_factors(WORKED)
+        assert factors == [([1, -1], [[12, -4], [3, 3]])]  # inner lists for t = 1, 2
+        assert gs == [1, 1]
+        [(outer, inners)] = factors
+        terms = [x * y * z for x, y, z in zip(outer, *inners)]
+        # The d=1 and d=2 lines of scripts/worked_example.py.
+        assert terms == [36, 12] == [literal_term(WORKED, d) for d in (1, 2)]
+        assert sum(terms) == 48
         assert_box_holds_the_nonzero_terms(WORKED)
+        assert_local_sums_give_the_count(WORKED)
 
 
 class TestNumeratorDifferential:
