@@ -152,6 +152,5 @@ def generalized_gcd(a: int, b: int, s: int) -> GeneralizedGcd:
         return GeneralizedGcd(base=g, power=1, value=g)
     base = 1
     for p, e in factorize(g):
-        if e >= s:
-            base *= p ** (e // s)
+        base *= p ** (e // s)
     return GeneralizedGcd(base=base, power=s, value=base**s)

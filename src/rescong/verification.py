@@ -15,7 +15,6 @@ subsample checks the cells it draws.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import random
 import sys
@@ -46,16 +45,11 @@ SweepConfig = namedtuple(
 SweepConfig.__doc__ = "Bounds for the engine-agreement sweep."
 
 
-class SweepReport:
-    def __init__(self, space: int, checked: int, subsampled: bool) -> None:
-        self.space = space
-        self.checked = checked
-        self.subsampled = subsampled
-        self.mismatches: list[dict] = []
-        self.identity_checks = 0
-        self.identity_failures: list[str] = []
-        self.engine_ms: dict[str, float] = {}
-        self.refused = dict.fromkeys(_ENGINES, 0)
+class SweepReport(namedtuple("SweepReport", "space checked subsampled mismatches "
+                             "identity_checks identity_failures engine_ms refused")):
+    """What `engine_sweep` found; built once, when the sweep ends."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -67,21 +61,17 @@ def _blocks(cfg: SweepConfig) -> list[tuple[int, int, int, int]]:
 
     n runs outermost, then s ascending, then k.  Block (n, s, k) holds
     tau(n)**k * n**s instances and ends at position `end`.  An empty
-    grid, a power below one, more than MAX_BLOCKS blocks or a block
-    max_n**s past MAX_POWER_BITS bits is a DomainError, raised before
-    any sizing work.  tau(n) comes from one divisor-count sieve, so
-    nothing is factored or listed.
+    grid, a max_n or power below one (`check_power`), more than
+    MAX_BLOCKS blocks or a block max_n**s past MAX_POWER_BITS bits is
+    a DomainError, raised before any sizing work.  tau(n) comes from
+    one divisor-count sieve, so nothing is factored or listed.
     """
-    if cfg.max_n < 1:
-        raise DomainError(f"engine_sweep requires max_n >= 1, got {show_int(cfg.max_n)}")
     if cfg.max_k < 0:
         raise DomainError(f"engine_sweep requires max_k >= 0, got {show_int(cfg.max_k)}")
     if not cfg.s_values:
         raise DomainError("engine_sweep requires at least one power s")
-    for s in cfg.s_values:
-        if s < 1:
-            raise DomainError(f"engine_sweep requires every power s >= 1, got {show_int(s)}")
     powers = sorted(set(cfg.s_values))
+    check_power(cfg.max_n, powers[0], "max_n**s")
     count = cfg.max_n * len(powers) * (cfg.max_k + 1)
     if count > MAX_BLOCKS:
         # Sized by bits: a 20-digit max_k can push the decimal form of
@@ -109,18 +99,17 @@ def instance_space_size(cfg: SweepConfig) -> int:
 def _grid_instances(blocks: list[tuple[int, int, int, int]], positions):
     """Instances at ascending grid positions, in grid order (n, s, k, t, b).
 
-    `blocks` is `_blocks(cfg)`.  Each position is unranked in mixed
-    radix inside the block that a bisection of the ends finds: b is the
+    `blocks` is `_blocks(cfg)`, walked in step with the positions.  Each
+    position is unranked in mixed radix inside its block: b is the
     innermost digit and t the base-tau digits above it, the last one
     varying fastest.  Divisors are listed only for a block that holds a
     position, once per block.
     """
-    end = 0
+    rows, end = iter(blocks), 0
     for pos in positions:
         if pos >= end:
-            index = bisect.bisect_right(blocks, pos, key=lambda row: row[0])
-            start = blocks[index - 1][0] if index else 0
-            end, n, s, k = blocks[index]
+            while pos >= end:
+                start, (end, n, s, k) = end, next(rows)
             divs = divisors(n)
             tau, ns = len(divs), n**s
         rank, b = divmod(pos - start, ns)
@@ -172,28 +161,31 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
                 f"2**{space.bit_length() - 1} instances (more than sys.maxsize = {sys.maxsize})"
             )
         positions = sorted(random.Random(cfg.seed).sample(positions, cfg.cap))
-    report = SweepReport(space=space, checked=0, subsampled=subsampled)
     clock = time.perf_counter_ns
-    engine_ns = dict.fromkeys(_ENGINES, 0)
+    engine_ns, refused = dict.fromkeys(_ENGINES, 0), dict.fromkeys(_ENGINES, 0)
+    mismatches, identity_checks, identity_failures = [], 0, []
     for inst in _grid_instances(blocks, positions):
         if inst.k == 1:
             held = _identities(inst)
-            report.identity_checks += len(held)
-            where = f"n={inst.n} s={inst.s} r={inst.n // inst.restrictions[0]} m={inst.b}"
-            report.identity_failures += [f"{name}: {where}" for name in held if not held[name]]
+            identity_checks += len(held)
+            identity_failures += [
+                f"{name}: n={inst.n} s={inst.s} r={inst.n // inst.restrictions[0]} m={inst.b}"
+                for name in held if not held[name]
+            ]
         counts = {}
         start = clock()
         for key, (module, name) in _ENGINES.items():
             try:
                 counts[key] = getattr(module, name)(inst)
             except BudgetExceededError:
-                report.refused[key] += 1
+                refused[key] += 1
             stop = clock()
             engine_ns[key] += stop - start
             start = stop
-        report.checked += 1
         if len(set(counts.values())) > 1:
             record = {"n": inst.n, "s": inst.s, "b": inst.b, "t": list(inst.restrictions)}
-            report.mismatches.append(record | {key: str(c) for key, c in counts.items()})
-    report.engine_ms = {key: ns / 1e6 for key, ns in engine_ns.items()}
-    return report
+            mismatches.append(record | {key: str(c) for key, c in counts.items()})
+    return SweepReport(
+        space, len(positions), subsampled, mismatches, identity_checks, identity_failures,
+        {key: ns / 1e6 for key, ns in engine_ns.items()}, refused,
+    )

@@ -597,7 +597,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (("--max-n", "-5"), "max_n >= 1"),
+            (("--max-n", "-5"), "max_n**s requires max_n, s >= 1"),
             (("--max-n", "2", "--max-k", "-1"), "max_k >= 0"),
             (("--s", ""), "at least one power"),
         ],

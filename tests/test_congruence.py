@@ -542,9 +542,13 @@ class TestPowerBound:
                 ),
                 "n**s requires n, s >= 1",
             ),
+            (
+                lambda n, s: instance_space_size(SweepConfig(max_n=n, s_values=(s,))),
+                "max_n**s requires max_n, s >= 1",
+            ),
         ],
         ids=["instance", "class_members", "jordan_totient", "cohen_ramanujan",
-             "cohen_ramanujan_direct", "cli_classes"],
+             "cohen_ramanujan_direct", "cli_classes", "sweep"],
     )
     @pytest.mark.parametrize(
         "base,exp",
@@ -580,11 +584,9 @@ class TestMessagesUnderDigitCap:
             lambda: mobius(-PAST_CAP),
             lambda: generalized_gcd(4, 8, -PAST_CAP),
             lambda: enumerate_solutions(WORKED, -PAST_CAP),
-            lambda: engine_sweep(SweepConfig(max_n=-PAST_CAP)),
-            lambda: engine_sweep(SweepConfig(max_n=2, s_values=(-PAST_CAP,))),
         ],
         ids=["count", "cohen_ramanujan", "restriction", "class_members", "ggcd", "divisors",
-             "mobius", "ggcd_power", "limit", "sweep_max_n", "sweep_power"],
+             "mobius", "ggcd_power", "limit"],
     )
     def test_domain_error_gives_the_size_of_a_huge_input(self, default_digit_cap, call):
         with pytest.raises(DomainError, match=r"integer of 16610 bits"):

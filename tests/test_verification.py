@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 import time
 import types
@@ -29,12 +30,20 @@ def test_sweep_config_defaults():
 
 
 def test_reports_start_clean_and_do_not_share_lists():
-    first, second = SweepReport(space=3, checked=0, subsampled=False), PropertyReport()
-    assert first.ok and second.ok and second.checks == 0
-    first.mismatches.append({"n": 1})
+    clean, second = SweepReport(3, 3, False, [], 0, [], {}, {}), PropertyReport()
+    assert clean.ok and second.ok and second.checks == 0
+    # A sweep report is a record: built once, never filled in afterwards.
+    with pytest.raises(AttributeError):
+        clean.mismatches = [{"n": 1}]
+    assert not clean._replace(mismatches=[{"n": 1}]).ok
+    assert not clean._replace(identity_failures=["reflection: n=2 s=1 r=1 m=0"]).ok
     second.failures.append("x")
-    assert not first.ok and not second.ok
-    assert SweepReport(3, 0, False).ok and PropertyReport().ok
+    assert not second.ok and PropertyReport().ok
+    cfg = SweepConfig(max_n=2, s_values=(1,), max_k=1, cap=10**9)
+    first, again = engine_sweep(cfg), engine_sweep(cfg)
+    assert first.ok and again.ok
+    for field in ("mismatches", "identity_failures", "engine_ms", "refused"):
+        assert getattr(first, field) is not getattr(again, field)
 
 
 def test_space_size_matches_enumeration():
@@ -154,17 +163,17 @@ def test_negative_cap_is_domain_error():
 @pytest.mark.parametrize(
     "cfg,message",
     [
-        (SweepConfig(max_n=-5), "max_n >= 1"),
-        (SweepConfig(max_n=0), "max_n >= 1"),
+        (SweepConfig(max_n=-5), "max_n**s requires max_n, s >= 1"),
+        (SweepConfig(max_n=0), "max_n**s requires max_n, s >= 1"),
         (SweepConfig(max_n=2, max_k=-1), "max_k >= 0"),
         (SweepConfig(s_values=()), "at least one power"),
     ],
 )
 def test_empty_grid_bounds_are_domain_errors(cfg, message):
     # Such a grid holds no instance, so a sweep over it would report ok.
-    with pytest.raises(DomainError, match=message):
+    with pytest.raises(DomainError, match=re.escape(message)):
         engine_sweep(cfg)
-    with pytest.raises(DomainError, match=message):
+    with pytest.raises(DomainError, match=re.escape(message)):
         instance_space_size(cfg)
 
 
