@@ -101,14 +101,8 @@ def divisors(n: int) -> list[int]:
     """All positive divisors of n, strictly ascending (1 first, n last)."""
     divs = [1]
     for p, e in factorize(n):
-        pk = 1
-        grown = []
-        for _ in range(e):
-            pk *= p
-            grown.extend(d * pk for d in divs)
-        divs.extend(grown)
-    divs.sort()
-    return divs
+        divs = [d * p**i for i in range(e + 1) for d in divs]
+    return sorted(divs)
 
 
 def mobius(n: int) -> int:

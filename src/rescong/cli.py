@@ -182,17 +182,9 @@ def cmd_verify(args) -> _Reply:
     sweep = engine_sweep(cfg)
     params = cfg._asdict()
     params["s"] = list(params.pop("s_values"))
-    result = {
-        "ok": sweep.ok,
-        "instances_checked": sweep.checked,
-        "instance_space": sweep.space,
-        "subsampled": sweep.subsampled,
-        "mismatches": sweep.mismatches,
-        "identity_checks": sweep.identity_checks,
-        "identity_failures": sweep.identity_failures,
-        "engine_ms": sweep.engine_ms,
-        "refused": sweep.refused,
-    }
+    report = sweep._asdict()
+    result = {"ok": sweep.ok, "instances_checked": report.pop("checked"),
+              "instance_space": report.pop("space"), **report}
     return params, result, lambda: _verify_text(result)
 
 

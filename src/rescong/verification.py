@@ -16,16 +16,17 @@ subsample checks the cells it draws.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import sys
 import time
 from collections import namedtuple
 
 from . import congruence, oracle
-from .arith import check_power, divisors, generalized_gcd
+from .arith import FACTORIZE_LIMIT, check_power, divisors, factorize, generalized_gcd
 from .congruence import CongruenceInstance
 from .errors import BudgetExceededError, DomainError, show_int
-from .ramanujan import cohen_ramanujan
+from .ramanujan import capped_valuation, cohen_ramanujan
 
 # Above this many instances the sweep switches to a seeded subsample.
 DEFAULT_INSTANCE_CAP = 250_000
@@ -125,10 +126,17 @@ def _identities(inst: CongruenceInstance) -> dict[str, bool]:
     (t,) = inst.restrictions
     n, s, m, ns = inst.n, inst.s, inst.b, inst.modulus
     r = n // t
-    reduced = generalized_gcd(m, ns, s).value
+    if s == 1 or math.gcd(m, ns) <= FACTORIZE_LIMIT:
+        reduced, shifted = (generalized_gcd(x, ns, s).value for x in (m, m + ns))
+    else:
+        # Past the limit, read (x, n**s)_s at the primes of n, as the closed form reads b.
+        reduced, shifted = (
+            math.prod(p ** (s * capped_valuation(x, p**s, e)) for p, e in factorize(n))
+            for x in (m, m + ns)
+        )
     value = cohen_ramanujan(r, s, m)
     return {
-        "ggcd periodicity": generalized_gcd(m + ns, ns, s).value == reduced,
+        "ggcd periodicity": shifted == reduced,
         "argument reduction": cohen_ramanujan(r, s, reduced) == value,
         "periodicity": cohen_ramanujan(r, s, m + r**s) == value,
         "reflection": cohen_ramanujan(r, s, -m) == value,

@@ -442,6 +442,24 @@ class TestVerify:
         assert sorted(engine_ms) == ["brute_force", "convolution", "formula"]
         assert all(ms >= 0 for ms in engine_ms.values())
 
+    def test_record_is_the_sweep_report_with_ok(self, capsys):
+        # The record renames two report fields and adds ok; engine_ms alone varies by run.
+        code, out, _ = run_cli(
+            capsys, "verify", "--max-n", "4", "--s", "1,2", "--max-k", "2", "--format", "json",
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        sweep = verification.engine_sweep(verification.SweepConfig(4, (1, 2), 2))
+        renamed = {"checked": "instances_checked", "space": "instance_space"}
+        expected = {renamed.get(key, key): value for key, value in sweep._asdict().items()}
+        expected["ok"] = sweep.ok
+        assert set(result) == set(expected) == {
+            "ok", "instances_checked", "instance_space", "subsampled", "mismatches",
+            "identity_checks", "identity_failures", "engine_ms", "refused",
+        }
+        assert result.pop("engine_ms").keys() == expected.pop("engine_ms").keys()
+        assert result == expected
+
     def test_engine_times_under_a_fake_clock(self, capsys, monkeypatch):
         # Four clock reads per instance: before the formula, then after
         # the formula, brute force and convolution; two instances per run.

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import sys
@@ -411,6 +412,32 @@ def test_sweep_detects_broken_gcd_periodicity(monkeypatch):
     report = engine_sweep(SweepConfig(max_n=2, s_values=(2,), max_k=1))
     assert not report.ok
     assert any(f.startswith("ggcd periodicity: n=2 s=2") for f in report.identity_failures)
+
+
+PAST_FACTORIZE_LIMIT = [(10007, 3, 0), (1000003, 2, 0), (720720, 3, 6 * 720720**2)]
+
+
+@pytest.mark.parametrize(
+    "n, s, b",
+    [*PAST_FACTORIZE_LIMIT, (10007, 3, 5 * 10007**2)],
+    ids=["prime_cubed", "prime_squared", "six_primes", "prime_cubed_gcd_within"],
+)
+def test_identities_hold_past_the_factorization_limit(n, s, b):
+    # (b, n**s)_s factors gcd(b, n**s), past FACTORIZE_LIMIT in the first
+    # three; 10007**3 used to raise DomainError: cannot factor 1002101470343.
+    assert (math.gcd(b, n**s) > arith.FACTORIZE_LIMIT) == ((n, s, b) in PAST_FACTORIZE_LIMIT)
+    held = verification._identities(congruence.CongruenceInstance(n, s, b, (1,)))
+    names = ["ggcd periodicity", "argument reduction", "periodicity", "reflection"]
+    assert held == dict.fromkeys(names, True)
+
+
+@pytest.mark.parametrize("n, s, b", PAST_FACTORIZE_LIMIT)
+def test_identities_past_the_limit_read_the_primes_of_n(monkeypatch, n, s, b):
+    # A per-prime read that misses the valuation of b makes (b, n**s)_s == 1,
+    # and c_{n,s}(1) differs from c_{n,s}(b) at every b here.
+    monkeypatch.setattr(verification, "capped_valuation", lambda m, q, cap: 0)
+    held = verification._identities(congruence.CongruenceInstance(n, s, b, (1,)))
+    assert held["argument reduction"] is False
 
 
 @pytest.mark.parametrize(
