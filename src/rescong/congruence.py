@@ -14,8 +14,8 @@ assigned to C(d_j), the number of solutions is
 
 evaluated here entirely in exact integers.  n is factored once, and
 every c_{r,s} in the sum is a product, over p**e || n, of entries of
-one table of Cohen's prime-power sums per prime, built per call
-(`rescong.ramanujan.prime_power_table`).  Only the box of divisors
+Cohen's prime-power rows padded to e + 1 levels, built per call
+(`rescong.ramanujan._prime_power_row`).  Only the box of divisors
 whose term is nonzero is summed; `_local_factors` states its rule.  In
 the worked example n = 4, s = 2, b = 5, t = (1, 2), b is odd, so
 cap_2 = 1 and d = 4 is the one term dropped: c_{4,2}(5) == 0.  The
@@ -34,7 +34,7 @@ from operator import getitem, mul
 
 from .arith import check_power, divisors, factorize
 from .errors import BudgetExceededError, ConsistencyError, DomainError, show_instance, show_int
-from .ramanujan import capped_valuation, prime_power_table
+from .ramanujan import _prime_power_row, capped_valuation
 
 # Ceiling on the (n/d)**s slots scanned to enumerate one class C(d).
 DEFAULT_CLASS_BUDGET = 10**6
@@ -138,7 +138,8 @@ def _local_factors(instance: CongruenceInstance):
 
     Returns (factors, gs), with gs the multiplicity g of each distinct
     restriction t and one pair (outer, inners) in factors per p**e || n.
-    Both read `prime_power_table(p, e, s)` for a = v_p(d) = 0 .. cap_p:
+    Both read the table of rows `_prime_power_row(p, r, s, e)`, r = 0 .. e,
+    for a = v_p(d) = 0 .. cap_p:
     outer[a] = c_{p**a,s}(b), row a at the level j of b, and, for the
     i-th distinct t, inners[i][a] = c_{p**(e - v_p(t)),s}(p**((e - a)*s)),
     row e - v_p(t) at level e - a.  The term of d is the product over the
@@ -154,7 +155,7 @@ def _local_factors(instance: CongruenceInstance):
     counts = Counter(instance.restrictions)
     factors = []
     for p, e in factorize(instance.n):
-        table = prime_power_table(p, e, s)
+        table = [_prime_power_row(p, a, s, e) for a in range(e + 1)]
         j = capped_valuation(instance.b, p**s, e)
         vs = [capped_valuation(t, p, e) for t in counts]
         cap = min([e, j + 1] + [v + 1 for v in vs])

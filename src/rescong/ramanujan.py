@@ -11,8 +11,8 @@ multiplicative in r, with the prime-power form
     c_{p**a,s}(n) = [p**(a*s) | n] * p**(a*s) - [p**((a-1)*s) | n] * p**((a-1)*s)
 
 so production evaluation factors r alone and reads n only through
-min(v_p(n) // s, a) at each p**a || r; `prime_power_table` lays those
-values out for every a <= e at one prime.  Negative arguments,
+min(v_p(n) // s, a) at each p**a || r: `_prime_power_row` lists them by
+level, padded to the top its reader needs.  Negative arguments,
 periodicity mod r**s and arguments far past the factorization limit
 need no special case.  Everything here is exact integer arithmetic.
 The tests hold an exact reference independent of that form, the Moebius
@@ -34,25 +34,12 @@ def capped_valuation(m: int, q: int, cap: int) -> int:
     return j
 
 
-def _prime_power_row(p: int, a: int, s: int) -> list[int]:
-    """c_{p**a,s}(m) at every level j = min(v_p(m) // s, a), for j = 0 .. a."""
+def _prime_power_row(p: int, a: int, s: int, top: int) -> list[int]:
+    """c_{p**a,s}(m) at every level j = min(v_p(m) // s, top) for top >= a."""
     if a == 0:
-        return [1]
+        return [1] * (top + 1)
     low = p ** ((a - 1) * s)
-    return [0] * (a - 1) + [-low, low * p**s - low]
-
-
-def prime_power_table(p: int, e: int, s: int) -> list[list[int]]:
-    """c_{p**a,s}(m) for 0 <= a <= e at every level j = min(v_p(m) // s, e).
-
-    Entry [a][j]: row a is `_prime_power_row` padded to e + 1 levels,
-    since every level above a reads as a.
-    """
-    table = []
-    for a in range(e + 1):
-        row = _prime_power_row(p, a, s)
-        table.append(row + row[-1:] * (e - a))
-    return table
+    return [0] * (a - 1) + [-low] + [low * p**s - low] * (top - a + 1)
 
 
 def cohen_ramanujan(r: int, s: int, n: int) -> int:
@@ -60,5 +47,5 @@ def cohen_ramanujan(r: int, s: int, n: int) -> int:
     check_power(r, s, "r**s")
     value = 1
     for p, a in factorize(r):
-        value *= _prime_power_row(p, a, s)[capped_valuation(n, p**s, a)]
+        value *= _prime_power_row(p, a, s, a)[capped_valuation(n, p**s, a)]
     return value

@@ -354,14 +354,21 @@ def warm_instances(n, s, strata):
 
 
 def assert_box_holds_the_nonzero_terms(instance):
-    """A divisor's literal term is nonzero exactly when it lies in the box."""
+    """A divisor's literal term is nonzero exactly when it lies in the box,
+    and each factor is the Ramanujan sum its docstring names."""
     factors, _ = _local_factors(instance)
     primes = factorize(instance.n)
     caps = [len(outer) - 1 for outer, _ in factors]
     assert all(0 <= cap <= e for (_, e), cap in zip(primes, caps))
-    for outer, inners in factors:
+    s, ts = instance.s, list(dict.fromkeys(instance.restrictions))
+    for (p, e), (outer, inners) in zip(primes, factors):
         assert all(len(inner) == len(outer) for inner in inners)
         assert 0 not in outer and not any(0 in inner for inner in inners), (instance, factors)
+        assert outer == [cohen_ramanujan(p**a, s, instance.b) for a in range(len(outer))]
+        for t, inner in zip(ts, inners, strict=True):
+            v = max(i for i in range(e + 1) if t % p**i == 0)
+            expected = [cohen_ramanujan(p ** (e - v), s, p ** ((e - a) * s)) for a in range(len(inner))]
+            assert inner == expected, (instance, p, t)
     for d in divisors(instance.n):
         inside = all(d % p ** (cap + 1) != 0 for (p, _), cap in zip(primes, caps))
         assert (literal_term(instance, d) != 0) == inside, (instance, d, caps)

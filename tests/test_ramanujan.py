@@ -7,7 +7,7 @@ from rescong import oracle
 from rescong.arith import generalized_gcd, jordan_totient
 from rescong.errors import BudgetExceededError, ConsistencyError, DomainError
 from rescong.oracle import cohen_ramanujan_direct
-from rescong.ramanujan import cohen_ramanujan, prime_power_table
+from rescong.ramanujan import _prime_power_row, cohen_ramanujan
 
 from reference import _mobius_divisor_sum
 
@@ -48,18 +48,59 @@ def test_zero_argument_gives_jordan_totient():
 
 
 @pytest.mark.parametrize("p,e,s", [(2, 4, 1), (3, 2, 2), (5, 1, 3), (13, 1, 2), (2, 6, 2)])
-def test_prime_power_table_entries(p, e, s):
-    # m = p**(s*j) sits at level j, and m = 0 at the top level e.  The table
-    # and cohen_ramanujan read the same _prime_power_row, so the Moebius
-    # divisor sum is the independent check on every entry.
-    table = prime_power_table(p, e, s)
-    assert len(table) == e + 1 and table[0] == [1] * (e + 1)
+def test_prime_power_row_entries(p, e, s):
+    # m = p**(s*j) sits at level j, and m = 0 at the top level.  The row is
+    # what cohen_ramanujan reads, so the Moebius divisor sum is the
+    # independent check on every entry, unpadded (top = a) and padded.
     for a in range(e + 1):
-        assert len(table[a]) == e + 1
-        for j in range(e + 1):
-            m = p ** (s * j)
-            assert table[a][j] == cohen_ramanujan(p**a, s, m) == _mobius_divisor_sum(p**a, s, m)
-        assert table[a][e] == _mobius_divisor_sum(p**a, s, 0)
+        for top in (a, e):
+            row = _prime_power_row(p, a, s, top)
+            assert len(row) == top + 1
+            assert a > 0 or row == [1] * (top + 1)
+            for j in range(top + 1):
+                m = p ** (s * j)
+                assert row[j] == cohen_ramanujan(p**a, s, m) == _mobius_divisor_sum(p**a, s, m)
+            assert row[top] == _mobius_divisor_sum(p**a, s, 0)
+
+
+def level_transfer(p, e, s, big_b, f):
+    """Add one unknown of level B to the count vector f over levels 0 .. e.
+
+    The level of x mod p**(e*s) is min(v_p(x) // s, e), and level j holds
+    J_s(p**(e - j)) residues.  Entry c of the result counts the ways to
+    reach one residue z of level c.  Only class sizes appear: no
+    Ramanujan sum.
+    """
+    size = [jordan_totient(p ** (e - j), s) for j in range(e + 1)]
+    out = []
+    for c in range(e + 1):
+        if big_b < c:
+            out.append(size[big_b] * f[big_b])
+        elif big_b > c:
+            out.append(size[big_b] * f[c])
+        elif c == e:
+            out.append(f[e])
+        else:
+            # y runs over level c: z - y stays at level c except on the coset
+            # z + p**((c+1)*s), where it lands above.
+            above = sum(size[j] * f[j] for j in range(c + 1, e + 1))
+            out.append((size[c] - p ** ((e - c - 1) * s)) * f[c] + above)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rows_are_eigenvectors_of_level_transfer(p):
+    # psi_a(j) = c_{p**(e-a),s}(p**(j*s)) and T_B psi_a = c_{p**(e-B),s}(p**(a*s)) psi_a:
+    # Cohen's rows diagonalize the count's recurrence, so the paper's sum
+    # is its spectral form.
+    for e in range(1, 6):
+        for s in (1, 2, 3):
+            for a in range(e + 1):
+                psi = _prime_power_row(p, e - a, s, e)
+                for big_b in range(e + 1):
+                    eigenvalue = _prime_power_row(p, e - big_b, s, e)[a]
+                    expected = [eigenvalue * x for x in psi]
+                    assert level_transfer(p, e, s, big_b, psi) == expected, (e, s, a, big_b)
 
 
 def test_rejects_bad_arguments():
