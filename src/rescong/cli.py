@@ -50,10 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
-
-
 def _parse_int_list(text: str, flag: str) -> list[int]:
     if text is None or text == "" or text == "-":
         return []
@@ -74,6 +70,7 @@ def _budget(args, keyword: str = "budget") -> dict:
 
 def _instance(args) -> tuple[CongruenceInstance, dict]:
     """The instance named by --n --s --b and --t or --g, and its params."""
+    check_power(args.n, args.s, "n**s")
     if args.g is not None:
         g = _parse_int_list(args.g, "--g")
         divs = divisors(args.n)
@@ -288,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
             "result": result,
             "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
         }
-        print(canonical_json(record) if args.format == "json" else "\n".join(text()))
+        print(json.dumps(record, sort_keys=True) if args.format == "json" else "\n".join(text()))
         # Only verify reports "ok"; false there is a verification mismatch.
         return 0 if result.get("ok", True) else 2
     except _UsageError as exc:

@@ -57,15 +57,19 @@ class SweepReport(namedtuple("SweepReport", "space checked subsampled mismatches
         return not self.mismatches and not self.identity_failures
 
 
-def _blocks(cfg: SweepConfig) -> list[tuple[int, int, int, int]]:
-    """One (end, n, s, k) row per (n, s, k) block of the grid, in grid order.
+def _cells(cfg: SweepConfig):
+    """The (n, s, k) blocks of the grid, in grid order: n, then s ascending, then k."""
+    return itertools.product(range(1, cfg.max_n + 1), sorted(set(cfg.s_values)), range(cfg.max_k + 1))
 
-    n runs outermost, then s ascending, then k.  Block (n, s, k) holds
-    tau(n)**k * n**s instances and ends at position `end`.  An empty
-    grid, a max_n or power below one (`check_power`), more than
-    MAX_BLOCKS blocks or a block max_n**s past MAX_POWER_BITS bits is
-    a DomainError, raised before any sizing work.  tau(n) comes from
-    one divisor-count sieve, so nothing is factored or listed.
+
+def _blocks(cfg: SweepConfig) -> list[int]:
+    """The end position of each block of `_cells(cfg)`, in grid order.
+
+    Block (n, s, k) holds tau(n)**k * n**s instances.  An empty grid, a
+    max_n or power below one (`check_power`), more than MAX_BLOCKS
+    blocks or a block max_n**s past MAX_POWER_BITS bits is a
+    DomainError, raised before any sizing work.  tau(n) comes from one
+    divisor-count sieve, so nothing is factored or listed.
     """
     if cfg.max_k < 0:
         raise DomainError(f"engine_sweep requires max_k >= 0, got {show_int(cfg.max_k)}")
@@ -86,31 +90,23 @@ def _blocks(cfg: SweepConfig) -> list[tuple[int, int, int, int]]:
     for d in range(1, cfg.max_n + 1):
         for multiple in range(d, cfg.max_n + 1, d):
             tau[multiple] += 1
-    rows, end = [], 0
-    for n, s, k in itertools.product(range(1, cfg.max_n + 1), powers, range(cfg.max_k + 1)):
-        end += tau[n] ** k * n**s
-        rows.append((end, n, s, k))
-    return rows
+    return list(itertools.accumulate(tau[n] ** k * n**s for n, s, k in _cells(cfg)))
 
 
-def instance_space_size(cfg: SweepConfig) -> int:
-    return _blocks(cfg)[-1][0]
-
-
-def _grid_instances(blocks: list[tuple[int, int, int, int]], positions):
+def _grid_instances(cfg: SweepConfig, ends: list[int], positions):
     """Instances at ascending grid positions, in grid order (n, s, k, t, b).
 
-    `blocks` is `_blocks(cfg)`, walked in step with the positions.  Each
-    position is unranked in mixed radix inside its block: b is the
-    innermost digit and t the base-tau digits above it, the last one
-    varying fastest.  Divisors are listed only for a block that holds a
-    position, once per block.
+    `ends` is `_blocks(cfg)`, walked with `_cells(cfg)` in step with the
+    positions.  Each position is unranked in mixed radix inside its
+    block: b is the innermost digit and t the base-tau digits above it,
+    the last one varying fastest.  Divisors are listed only for a block
+    that holds a position, once per block.
     """
-    rows, end = iter(blocks), 0
+    rows, end = zip(ends, _cells(cfg)), 0
     for pos in positions:
         if pos >= end:
             while pos >= end:
-                start, (end, n, s, k) = end, next(rows)
+                start, (end, (n, s, k)) = end, next(rows)
             divs = divisors(n)
             tau, ns = len(divs), n**s
         rank, b = divmod(pos - start, ns)
@@ -154,8 +150,8 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
     keyed as in `_ENGINES` and in a mismatch record, which holds only
     the engines that answered.
     """
-    blocks = _blocks(cfg)
-    space = blocks[-1][0]
+    ends = _blocks(cfg)
+    space = ends[-1]
     if cfg.cap < 0:
         raise DomainError(f"engine_sweep requires cap >= 0, got {show_int(cfg.cap)}")
     subsampled = space > cfg.cap
@@ -172,7 +168,7 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
     clock = time.perf_counter_ns
     engine_ns, refused = dict.fromkeys(_ENGINES, 0), dict.fromkeys(_ENGINES, 0)
     mismatches, identity_checks, identity_failures = [], 0, []
-    for inst in _grid_instances(blocks, positions):
+    for inst in _grid_instances(cfg, ends, positions):
         if inst.k == 1:
             held = _identities(inst)
             identity_checks += len(held)

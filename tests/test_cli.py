@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from rescong import cli, congruence, oracle, verification
 from rescong.arith import divisors
-from rescong.cli import canonical_json, main
+from rescong.cli import main
 from rescong.errors import BudgetExceededError
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -217,7 +217,7 @@ class TestJsonContract:
             "--format", "json",
         )
         parsed = json.loads(out)
-        assert canonical_json(parsed) == out.strip()
+        assert json.dumps(parsed, sort_keys=True) == out.strip()
 
     def test_payload_deterministic_excluding_timing(self, capsys):
         argv = ("ramanujan", "--r", "6", "--s", "2", "--m", "7", "--format", "json")
@@ -741,6 +741,14 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "count", "--n", "4", "--s", "2", "--b", "5", "--g", "1,1")
         assert code == 1
         assert "divisor" in err
+
+    @pytest.mark.parametrize("command", ["count", "solve"])
+    @pytest.mark.parametrize("flag, n", [("--t", "0"), ("--t", "-6"), ("--g", "0"), ("--g", "-6")])
+    def test_power_gate_runs_before_divisors_are_listed(self, capsys, command, flag, n):
+        # --g lists the divisors of n; n, s >= 1 is checked first, as for --t.
+        code, out, err = run_cli(capsys, command, "--n", n, "--s", "1", "--b", "0", flag, "1")
+        assert (code, out) == (1, "")
+        assert err == "error: n**s requires n, s >= 1\n"
 
 
 SEVENS = "7" * 5000  # past the interpreter's 4300-digit int <-> str cap

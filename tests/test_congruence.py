@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rescong import cli, congruence
+from rescong import cli, congruence, verification
 from rescong.arith import divisors, factorize, generalized_gcd, jordan_totient, mobius
 from rescong.congruence import (
     ClassProfile,
@@ -28,7 +28,7 @@ from rescong.oracle import (
     enumerate_solutions,
 )
 from rescong.ramanujan import cohen_ramanujan
-from rescong.verification import SweepConfig, engine_sweep, instance_space_size
+from rescong.verification import SweepConfig, engine_sweep
 
 from reference import count_units_nicol, count_units_rademacher, count_unrestricted_lehmer
 
@@ -516,7 +516,7 @@ class TestPowerBound:
             lambda s: cohen_ramanujan(2, s, 0),
             lambda s: class_members(2, s, 1),
             lambda s: jordan_totient(2, s),
-            lambda s: instance_space_size(SweepConfig(max_n=2, s_values=(1, s), max_k=0)),
+            lambda s: verification._blocks(SweepConfig(max_n=2, s_values=(1, s), max_k=0))[-1],
             lambda s: engine_sweep(SweepConfig(max_n=2, s_values=(s,), max_k=0)),
         ],
         ids=["instance", "cohen_ramanujan", "class_members", "jordan_totient", "sizing", "sweep"],
@@ -550,7 +550,7 @@ class TestPowerBound:
                 "n**s requires n, s >= 1",
             ),
             (
-                lambda n, s: instance_space_size(SweepConfig(max_n=n, s_values=(s,))),
+                lambda n, s: verification._blocks(SweepConfig(max_n=n, s_values=(s,)))[-1],
                 "max_n**s requires max_n, s >= 1",
             ),
         ],

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 
 import rescong
+from rescong import verification
 from rescong.arith import divisors
 from rescong.congruence import (
     CongruenceInstance,
@@ -12,6 +13,7 @@ from rescong.congruence import (
     class_members,
     fourier_numerator,
 )
+from rescong.verification import MAX_BLOCKS, SweepConfig
 
 
 def test_every_memo_is_bounded():
@@ -86,3 +88,18 @@ def test_numerator_keeps_nothing_between_calls():
     finally:
         tracemalloc.stop()
     assert after - before < 64 * 1024
+
+
+def test_block_table_of_the_largest_grid_is_small():
+    # The sweep holds this table for its whole walk: one int per block, about 40 bytes.
+    cfg = SweepConfig(max_n=MAX_BLOCKS, s_values=(1,), max_k=0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        ends = verification._blocks(cfg)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ends) == MAX_BLOCKS
+    assert after - before < 4_000_000

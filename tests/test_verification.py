@@ -17,7 +17,6 @@ from rescong.verification import (
     SweepConfig,
     SweepReport,
     engine_sweep,
-    instance_space_size,
 )
 
 from reference import PropertyReport, identity_suites, iter_instances
@@ -49,7 +48,7 @@ def test_reports_start_clean_and_do_not_share_lists():
 
 def test_space_size_matches_enumeration():
     cfg = SweepConfig(max_n=4, s_values=(1, 2), max_k=2, cap=10**9)
-    assert instance_space_size(cfg) == sum(1 for _ in iter_instances(cfg))
+    assert verification._blocks(cfg)[-1] == sum(1 for _ in iter_instances(cfg))
 
 
 def test_small_exhaustive_sweep_is_clean():
@@ -93,7 +92,7 @@ def record_sweep(monkeypatch, cfg):
 
 def reference_picks(cfg):
     """The sweep's instances from a full walk of the grid in order."""
-    space = instance_space_size(cfg)
+    space = verification._blocks(cfg)[-1]
     if space <= cfg.cap:
         return list(iter_instances(cfg))
     keep = set(random.Random(cfg.seed).sample(range(space), cfg.cap))
@@ -112,7 +111,7 @@ def reference_picks(cfg):
 def test_sweep_picks_match_reference_walk(monkeypatch, cfg):
     picks = reference_picks(cfg)
     assert record_sweep(monkeypatch, cfg) == picks
-    assert len(picks) == min(cfg.cap, instance_space_size(cfg))
+    assert len(picks) == min(cfg.cap, verification._blocks(cfg)[-1])
 
 
 def test_subsample_builds_only_the_instances_it_checks(monkeypatch):
@@ -152,7 +151,7 @@ def test_power_below_one_is_domain_error():
     with pytest.raises(DomainError, match="s >= 1"):
         engine_sweep(cfg)
     with pytest.raises(DomainError, match="s >= 1"):
-        instance_space_size(cfg)
+        verification._blocks(cfg)[-1]
 
 
 def test_negative_cap_is_domain_error():
@@ -175,7 +174,7 @@ def test_empty_grid_bounds_are_domain_errors(cfg, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         engine_sweep(cfg)
     with pytest.raises(DomainError, match=re.escape(message)):
-        instance_space_size(cfg)
+        verification._blocks(cfg)[-1]
 
 
 @pytest.mark.parametrize(
@@ -188,7 +187,7 @@ def test_max_n_past_maxsize_is_domain_error(max_n):
     with pytest.raises(DomainError, match=f"at most {MAX_BLOCKS} blocks"):
         engine_sweep(cfg)
     with pytest.raises(DomainError, match=f"at most {MAX_BLOCKS} blocks"):
-        instance_space_size(cfg)
+        verification._blocks(cfg)[-1]
 
 
 @pytest.mark.parametrize(
@@ -208,7 +207,7 @@ def test_grid_past_block_bound_is_refused_before_sizing(cfg):
     with pytest.raises(DomainError, match=rf"at most {MAX_BLOCKS} blocks.*got at least 2\*\*\d+$"):
         engine_sweep(cfg)
     with pytest.raises(DomainError, match=f"at most {MAX_BLOCKS} blocks"):
-        instance_space_size(cfg)
+        verification._blocks(cfg)[-1]
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -224,12 +223,12 @@ def test_block_bound_admits_exactly_max_blocks(cfg):
     # max_n * len(set(s_values)) * (max_k + 1) == MAX_BLOCKS is sized and
     # swept; one more n is refused.
     report = engine_sweep(cfg)
-    assert report.checked == 0 and report.space == instance_space_size(cfg)
+    assert report.checked == 0 and report.space == verification._blocks(cfg)[-1]
     if cfg.s_values == (1,):
         # Block n holds n instances when k = 0 and s = 1.
         assert report.space == MAX_BLOCKS * (MAX_BLOCKS + 1) // 2
     with pytest.raises(DomainError, match=f"at most {MAX_BLOCKS} blocks"):
-        instance_space_size(cfg._replace(max_n=cfg.max_n + 1))
+        verification._blocks(cfg._replace(max_n=cfg.max_n + 1))[-1]
 
 
 def test_each_engine_runs_once_per_instance_through_its_module(monkeypatch):
@@ -450,7 +449,7 @@ def test_identities_past_the_limit_read_the_primes_of_n(monkeypatch, n, s, b):
 )
 def test_subsampling_past_maxsize_is_domain_error(cfg):
     # random.sample cannot draw from a range longer than sys.maxsize.
-    space = instance_space_size(cfg)
+    space = verification._blocks(cfg)[-1]
     assert space > sys.maxsize
     with pytest.raises(DomainError, match=rf"at least 2\*\*{space.bit_length() - 1} instances"):
         engine_sweep(cfg)
@@ -460,7 +459,7 @@ def test_sizing_factors_nothing():
     # tau(n) comes from a divisor-count sieve, so sizing neither calls
     # factorize nor evicts what its memo holds.
     arith.factorize.cache_clear()
-    instance_space_size(SweepConfig(max_n=2000, s_values=(1,), max_k=1, cap=10))
+    verification._blocks(SweepConfig(max_n=2000, s_values=(1,), max_k=1, cap=10))[-1]
     info = arith.factorize.cache_info()
     assert (info.hits, info.misses) == (0, 0)
 
