@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
 from functools import lru_cache
 
 from .errors import DomainError, show_int
@@ -26,10 +25,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13)
 # The most bits a power built from input (n**s, r**s) may have;
 # `check_power` refuses a larger one before it is built.
 MAX_POWER_BITS = 2**20
-
-
-GeneralizedGcd = namedtuple("GeneralizedGcd", "base power value")
-GeneralizedGcd.__doc__ = "(a, b)_s: value == base**power is the largest such power dividing both."
 
 
 @lru_cache(maxsize=256)
@@ -128,10 +123,11 @@ def jordan_totient(n: int, s: int) -> int:
     return out
 
 
-def generalized_gcd(a: int, b: int, s: int) -> GeneralizedGcd:
-    """The largest l**s dividing both a and b; (a, b)_1 is the usual gcd.
+def generalized_gcd(a: int, b: int, s: int) -> int:
+    """The base l of (a, b)_s = l**s, the largest s-th power dividing both.
 
-    Only s >= 2 factors the gcd, so the factorization limit binds there.
+    At s == 1, l is the usual gcd.  Only s >= 2 factors the gcd, so the
+    factorization limit binds there.
 
     Signs are ignored (divisibility is sign-blind) and one argument may
     be zero, in which case every integer divides it and the other
@@ -143,8 +139,5 @@ def generalized_gcd(a: int, b: int, s: int) -> GeneralizedGcd:
         raise DomainError("generalized_gcd requires at least one nonzero argument")
     g = math.gcd(abs(a), abs(b))
     if s == 1:
-        return GeneralizedGcd(base=g, power=1, value=g)
-    base = 1
-    for p, e in factorize(g):
-        base *= p ** (e // s)
-    return GeneralizedGcd(base=base, power=s, value=base**s)
+        return g
+    return math.prod(p ** (e // s) for p, e in factorize(g))

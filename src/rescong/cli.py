@@ -132,9 +132,9 @@ def cmd_ramanujan(args) -> _Reply:
 
 
 def cmd_ggcd(args) -> _Reply:
-    g = generalized_gcd(args.a, args.b, args.s)
+    base = generalized_gcd(args.a, args.b, args.s)
     params = {"a": args.a, "b": args.b, "s": args.s}
-    result = {"value": str(g.value), "base": str(g.base), "power": g.power}
+    result = {"value": str(base**args.s), "base": str(base), "power": args.s}
     return params, result, lambda: [
         "({a}, {b})_{s} = {value}".format(**params, **result), f"base l = {result['base']}"
     ]

@@ -30,7 +30,7 @@ import itertools
 import math
 from collections import Counter, namedtuple
 from functools import lru_cache
-from operator import getitem, mul
+from operator import getitem, index, mul
 
 from .arith import check_power, divisors, factorize
 from .errors import BudgetExceededError, ConsistencyError, DomainError, show_instance, show_int
@@ -55,15 +55,17 @@ class CongruenceInstance(namedtuple("CongruenceInstance", "n s b restrictions"))
     `restrictions` lists the base divisors t_i of n pinning each unknown
     to (x_i, n**s)_s == t_i**s.  k == 0 is allowed (empty sum).  The
     target b is reduced into [0, n**s) on construction; the count is
-    n**s-periodic in b so nothing is lost.  n and s must be >= 1 and
+    n**s-periodic in b so nothing is lost.  n, s, b and every t_i must
+    be integers (`operator.index`, else TypeError), n and s >= 1, and
     n**s at most MAX_POWER_BITS bits (`rescong.arith.check_power`).
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, s: int, b: int, restrictions=()):
+        n, s, b = index(n), index(s), index(b)
         check_power(n, s, "n**s")
-        restrictions = tuple(restrictions)
+        restrictions = tuple(map(index, restrictions))
         for i, t in enumerate(restrictions, start=1):
             if t < 1 or n % t != 0:
                 raise DomainError(

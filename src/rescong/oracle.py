@@ -20,9 +20,9 @@ from .congruence import DEFAULT_CLASS_BUDGET, CongruenceInstance, class_members
 from .errors import BudgetExceededError, ConsistencyError, DomainError, show_instance, show_int
 
 DEFAULT_TUPLE_BUDGET = 10**7
+# Cap on the modulus an oracle scans slot by slot: n**s for convolution,
+# r**s for the term-by-term exponential oracle.
 DEFAULT_VECTOR_BUDGET = 10**5
-# Cap on r**s for the term-by-term exponential oracle.
-DEFAULT_DIRECT_BUDGET = 10**5
 # Round-off for <= 10**5 unit-modulus terms summed with math.fsum stays
 # orders of magnitude below this.
 DIRECT_TOLERANCE = 1e-6
@@ -129,7 +129,7 @@ def class_character_sum(
     return complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
 
 
-def cohen_ramanujan_direct(r: int, s: int, n: int, budget: int = DEFAULT_DIRECT_BUDGET) -> int:
+def cohen_ramanujan_direct(r: int, s: int, n: int, budget: int = DEFAULT_VECTOR_BUDGET) -> int:
     """c_{r,s}(n) straight from the exponential definition.
 
     The j in [1, r**s] with (j, r**s)_s == 1 are the class C(1) of r, so

@@ -22,6 +22,8 @@ is evaluated in floating point by `rescong.oracle.cohen_ramanujan_direct`.
 
 from __future__ import annotations
 
+from operator import index
+
 from .arith import check_power, factorize
 
 
@@ -44,6 +46,7 @@ def _prime_power_row(p: int, a: int, s: int, top: int) -> list[int]:
 
 def cohen_ramanujan(r: int, s: int, n: int) -> int:
     """c_{r,s}(n) exactly, as the product of prime-power sums over p**a || r."""
+    r, s, n = index(r), index(s), index(n)
     check_power(r, s, "r**s")
     value = 1
     for p, a in factorize(r):

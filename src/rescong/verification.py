@@ -123,17 +123,17 @@ def _identities(inst: CongruenceInstance) -> dict[str, bool]:
     n, s, m, ns = inst.n, inst.s, inst.b, inst.modulus
     r = n // t
     if s == 1 or math.gcd(m, ns) <= FACTORIZE_LIMIT:
-        reduced, shifted = (generalized_gcd(x, ns, s).value for x in (m, m + ns))
+        reduced, shifted = (generalized_gcd(x, ns, s) for x in (m, m + ns))
     else:
-        # Past the limit, read (x, n**s)_s at the primes of n, as the closed form reads b.
+        # Past the limit, read the base of (x, n**s)_s at the primes of n, as the closed form reads b.
         reduced, shifted = (
-            math.prod(p ** (s * capped_valuation(x, p**s, e)) for p, e in factorize(n))
+            math.prod(p ** capped_valuation(x, p**s, e) for p, e in factorize(n))
             for x in (m, m + ns)
         )
     value = cohen_ramanujan(r, s, m)
     return {
         "ggcd periodicity": shifted == reduced,
-        "argument reduction": cohen_ramanujan(r, s, reduced) == value,
+        "argument reduction": cohen_ramanujan(r, s, reduced**s) == value,
         "periodicity": cohen_ramanujan(r, s, m + r**s) == value,
         "reflection": cohen_ramanujan(r, s, -m) == value,
     }

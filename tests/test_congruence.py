@@ -49,7 +49,7 @@ def default_digit_cap():
 def members_by_scan(n, s, d):
     """Class membership straight from the definition, no shortcuts."""
     ns = n**s
-    return [x for x in range(1, ns + 1) if generalized_gcd(x, ns, s).value == d**s]
+    return [x for x in range(1, ns + 1) if generalized_gcd(x, ns, s) == d]
 
 
 def count_by_scan(n, s, b, ts):
@@ -106,6 +106,26 @@ class TestInstance:
         with pytest.raises(DomainError) as info:
             CongruenceInstance(*args)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: count_restricted(CongruenceInstance(4, 2, 5.5, (1, 2))),
+            lambda: CongruenceInstance(4, 2.0, 5, (1, 2)),
+            lambda: CongruenceInstance(4, 2, 5, (3.0,)),
+            lambda: cohen_ramanujan(4, 2, 5.5),
+            lambda: cohen_ramanujan(4, 2.0, 16),
+        ],
+        ids=["count_b", "instance_s", "instance_t", "ramanujan_m", "ramanujan_s"],
+    )
+    def test_non_integers_raise_type_error(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_fields_are_plain_ints(self):
+        inst = CongruenceInstance(4, True, True, (True, 2))
+        assert inst == (4, 1, 1, (1, 2))
+        assert [type(x) for x in (inst.n, inst.s, inst.b, *inst.restrictions)] == [int] * 5
 
     def test_equality_and_hashing_follow_the_reduced_fields(self):
         a = CongruenceInstance(4, 2, 5, (1, 2))
@@ -265,7 +285,7 @@ class TestCountRestricted:
                 divs = divisors(n)
                 for ts in itertools.product(divs, repeat=2):
                     for b in range(1, ns + 1):
-                        collapsed = generalized_gcd(b, ns, s).value
+                        collapsed = generalized_gcd(b, ns, s) ** s
                         assert count_restricted(
                             CongruenceInstance(n, s, b, ts)
                         ) == count_restricted(CongruenceInstance(n, s, collapsed, ts))

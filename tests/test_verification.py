@@ -404,8 +404,7 @@ def test_sweep_detects_broken_gcd_periodicity(monkeypatch):
     real = verification.generalized_gcd
 
     def shifted_past_modulus(a, b, s):
-        value = real(a, b, s)
-        return value._replace(value=value.value + 1) if a >= b else value
+        return real(a, b, s) + (1 if a >= b else 0)
 
     monkeypatch.setattr(verification, "generalized_gcd", shifted_past_modulus)
     report = engine_sweep(SweepConfig(max_n=2, s_values=(2,), max_k=1))
@@ -428,6 +427,18 @@ def test_identities_hold_past_the_factorization_limit(n, s, b):
     held = verification._identities(congruence.CongruenceInstance(n, s, b, (1,)))
     names = ["ggcd periodicity", "argument reduction", "periodicity", "reflection"]
     assert held == dict.fromkeys(names, True)
+
+
+def test_identities_past_the_limit_hold_on_every_small_cell(monkeypatch):
+    # FACTORIZE_LIMIT = 0 sends every s >= 2 cell to the per-prime reading,
+    # so it runs on every (n, s, t, b) with n <= 12 and s in {2, 3}.
+    monkeypatch.setattr(verification, "FACTORIZE_LIMIT", 0)
+    cells = [
+        congruence.CongruenceInstance(n, s, b, (t,))
+        for n in range(1, 13) for s in (2, 3) for t in divisors(n) for b in range(n**s)
+    ]
+    assert len(cells) == 25_700
+    assert [inst for inst in cells if not all(verification._identities(inst).values())] == []
 
 
 @pytest.mark.parametrize("n, s, b", PAST_FACTORIZE_LIMIT)
