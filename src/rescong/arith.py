@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import index
 
 from .errors import DomainError, show_int
 
@@ -27,7 +28,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13)
 MAX_POWER_BITS = 2**20
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of 1 <= n <= FACTORIZE_LIMIT as (p, e) pairs.
 
@@ -36,6 +37,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     passes `_is_prime`, which runs once on n and again after each prime
     divided out.
     """
+    n = index(n)
     if n < 1:
         raise DomainError(f"factorize requires n >= 1, got {show_int(n)}")
     if n > FACTORIZE_LIMIT:
@@ -80,6 +82,7 @@ def check_power(base: int, exp: int, name: str) -> None:
     log2(base)) + 1 bits, more than exp and at most exp * bit_length(base).
     No message prints base or exp; a size is given as a power of two.
     """
+    base, exp = index(base), index(exp)
     if base < 1 or exp < 1:
         raise DomainError(f"{name} requires {name.replace('**', ', ')} >= 1")
     if exp * base.bit_length() > MAX_POWER_BITS and base > 1 and (
@@ -133,6 +136,7 @@ def generalized_gcd(a: int, b: int, s: int) -> int:
     be zero, in which case every integer divides it and the other
     argument decides the answer.  Both zero is undefined.
     """
+    s = index(s)
     if s < 1:
         raise DomainError(f"generalized_gcd requires s >= 1, got {show_int(s)}")
     if a == 0 and b == 0:

@@ -14,6 +14,7 @@ import itertools
 import math
 import sys
 from collections import Counter
+from operator import index
 
 from .arith import check_power, jordan_totient
 from .congruence import DEFAULT_CLASS_BUDGET, CongruenceInstance, class_members
@@ -124,7 +125,7 @@ def class_character_sum(
     """
     members = class_members(n, s, d, budget=budget)
     ns = n**s
-    m_red = m % ns
+    m_red = index(m) % ns
     angles = [2.0 * math.pi * ((m_red * x) % ns) / ns for x in members]
     return complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
 

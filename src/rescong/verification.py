@@ -23,7 +23,7 @@ import time
 from collections import namedtuple
 
 from . import congruence, oracle
-from .arith import FACTORIZE_LIMIT, check_power, divisors, factorize, generalized_gcd
+from .arith import check_power, divisors, factorize
 from .congruence import CongruenceInstance
 from .errors import BudgetExceededError, DomainError, show_int
 from .ramanujan import capped_valuation, cohen_ramanujan
@@ -122,14 +122,10 @@ def _identities(inst: CongruenceInstance) -> dict[str, bool]:
     (t,) = inst.restrictions
     n, s, m, ns = inst.n, inst.s, inst.b, inst.modulus
     r = n // t
-    if s == 1 or math.gcd(m, ns) <= FACTORIZE_LIMIT:
-        reduced, shifted = (generalized_gcd(x, ns, s) for x in (m, m + ns))
-    else:
-        # Past the limit, read the base of (x, n**s)_s at the primes of n, as the closed form reads b.
-        reduced, shifted = (
-            math.prod(p ** capped_valuation(x, p**s, e) for p, e in factorize(n))
-            for x in (m, m + ns)
-        )
+    # The base of (x, n**s)_s, read at the primes of n as the closed form reads b.
+    reduced, shifted = (
+        math.prod(p ** capped_valuation(x, p**s, e) for p, e in factorize(n)) for x in (m, m + ns)
+    )
     value = cohen_ramanujan(r, s, m)
     return {
         "ggcd periodicity": shifted == reduced,

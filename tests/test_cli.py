@@ -927,15 +927,25 @@ def test_cli_import_footprint():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
-    code = "import json, sys\nimport rescong.cli\nprint(json.dumps(sorted(sys.modules)))"
+    # The tracer resolves every (module, function) pair of spans.TARGETS, so
+    # deleting or renaming one of those functions breaks each traced run.
+    code = (
+        "import json, sys\nimport rescong.cli\n"
+        f"targets = {json.dumps(sorted(spans.TARGETS.values()))}\n"
+        "unresolved = [[m, f] for m, f in targets\n"
+        "              if not callable(getattr(sys.modules.get(m), f, None))]\n"
+        "print(json.dumps([sorted(sys.modules), unresolved]))"
+    )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, cwd=REPO_ROOT
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
+    modules, unresolved = json.loads(proc.stdout)
+    loaded = set(modules)
     heavy = {"dataclasses", "fractions", "decimal", "statistics", "inspect"}
     assert heavy & loaded == set()
     assert {module for module, _ in spans.TARGETS.values()} <= loaded
+    assert unresolved == []
 
 
 def _readme_sessions(text):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rescong import cli, congruence, verification
-from rescong.arith import divisors, factorize, generalized_gcd, jordan_totient, mobius
+from rescong.arith import check_power, divisors, factorize, generalized_gcd, jordan_totient, mobius
 from rescong.congruence import (
     ClassProfile,
     CongruenceInstance,
@@ -23,6 +23,7 @@ from rescong.congruence import (
 from rescong.errors import SHOWN_BITS, BudgetExceededError, ConsistencyError, DomainError, show_int
 from rescong.oracle import (
     brute_force_count,
+    class_character_sum,
     cohen_ramanujan_direct,
     convolution_count,
     enumerate_solutions,
@@ -115,8 +116,23 @@ class TestInstance:
             lambda: CongruenceInstance(4, 2, 5, (3.0,)),
             lambda: cohen_ramanujan(4, 2, 5.5),
             lambda: cohen_ramanujan(4, 2.0, 16),
+            lambda: factorize(12.0),
+            lambda: (factorize(12), factorize(12.0)),
+            lambda: divisors(4.0),
+            lambda: mobius(6.0),
+            lambda: generalized_gcd(12, 16, 2.0),
+            lambda: class_character_sum(4, 2, 1, 16.0),
+            lambda: jordan_totient(4.0, 2),
+            lambda: class_members(4.0, 2, 2),
+            lambda: cohen_ramanujan_direct(4, 2, 5.5),
+            lambda: check_power(2.0, 3, "x"),
+            lambda: check_power(2, 3.0, "x"),
         ],
-        ids=["count_b", "instance_s", "instance_t", "ramanujan_m", "ramanujan_s"],
+        ids=[
+            "count_b", "instance_s", "instance_t", "ramanujan_m", "ramanujan_s", "factorize_n",
+            "factorize_n_after_int", "divisors_n", "mobius_n", "ggcd_s", "character_sum_m",
+            "jordan_n", "class_members_n", "direct_n", "check_power_base", "check_power_exp",
+        ],
     )
     def test_non_integers_raise_type_error(self, call):
         with pytest.raises(TypeError):

@@ -401,12 +401,12 @@ def test_sweep_detects_broken_reflection(monkeypatch):
 
 
 def test_sweep_detects_broken_gcd_periodicity(monkeypatch):
-    real = verification.generalized_gcd
+    real = verification.capped_valuation
 
-    def shifted_past_modulus(a, b, s):
-        return real(a, b, s) + (1 if a >= b else 0)
+    def blind_past_cap(m, q, cap):
+        return 0 if m >= q**cap else real(m, q, cap)
 
-    monkeypatch.setattr(verification, "generalized_gcd", shifted_past_modulus)
+    monkeypatch.setattr(verification, "capped_valuation", blind_past_cap)
     report = engine_sweep(SweepConfig(max_n=2, s_values=(2,), max_k=1))
     assert not report.ok
     assert any(f.startswith("ggcd periodicity: n=2 s=2") for f in report.identity_failures)
@@ -421,18 +421,17 @@ PAST_FACTORIZE_LIMIT = [(10007, 3, 0), (1000003, 2, 0), (720720, 3, 6 * 720720**
     ids=["prime_cubed", "prime_squared", "six_primes", "prime_cubed_gcd_within"],
 )
 def test_identities_hold_past_the_factorization_limit(n, s, b):
-    # (b, n**s)_s factors gcd(b, n**s), past FACTORIZE_LIMIT in the first
-    # three; 10007**3 used to raise DomainError: cannot factor 1002101470343.
+    # gcd(b, n**s) is past FACTORIZE_LIMIT in the first three, and reading
+    # (b, n**s)_s by factoring it raised DomainError: cannot factor 1002101470343.
     assert (math.gcd(b, n**s) > arith.FACTORIZE_LIMIT) == ((n, s, b) in PAST_FACTORIZE_LIMIT)
     held = verification._identities(congruence.CongruenceInstance(n, s, b, (1,)))
     names = ["ggcd periodicity", "argument reduction", "periodicity", "reflection"]
     assert held == dict.fromkeys(names, True)
 
 
-def test_identities_past_the_limit_hold_on_every_small_cell(monkeypatch):
-    # FACTORIZE_LIMIT = 0 sends every s >= 2 cell to the per-prime reading,
-    # so it runs on every (n, s, t, b) with n <= 12 and s in {2, 3}.
-    monkeypatch.setattr(verification, "FACTORIZE_LIMIT", 0)
+def test_identities_past_the_limit_hold_on_every_small_cell():
+    # The per-prime reading of (b, n**s)_s runs on every (n, s, t, b) with
+    # n <= 12 and s in {2, 3}, as it does past the limit.
     cells = [
         congruence.CongruenceInstance(n, s, b, (t,))
         for n in range(1, 13) for s in (2, 3) for t in divisors(n) for b in range(n**s)
