@@ -13,9 +13,9 @@ assigned to C(d_j), the number of solutions is
                      for d | n)
 
 evaluated here entirely in exact integers.  n is factored once, and
-every c_{r,s} in the sum is a product, over p**e || n, of entries of
-Cohen's prime-power rows padded to e + 1 levels, built per call
-(`rescong.ramanujan._prime_power_row`).  Only the box of divisors
+every c_{r,s} in the sum is a product, over p**e || n, of Cohen's
+prime-power sums (`rescong.ramanujan._prime_power_sum`), each a
+function of its order and of one level.  Only the box of divisors
 whose term is nonzero is summed; `_local_factors` states its rule.  In
 the worked example n = 4, s = 2, b = 5, t = (1, 2), b is odd, so
 cap_2 = 1 and d = 4 is the one term dropped: c_{4,2}(5) == 0.  The
@@ -34,7 +34,7 @@ from operator import getitem, index, mul
 
 from .arith import check_power, divisors, factorize
 from .errors import BudgetExceededError, ConsistencyError, DomainError, show_instance, show_int
-from .ramanujan import _prime_power_row, capped_valuation
+from .ramanujan import _prime_power_sum, capped_valuation
 
 # Ceiling on the (n/d)**s slots scanned to enumerate one class C(d).
 DEFAULT_CLASS_BUDGET = 10**6
@@ -103,7 +103,7 @@ def class_profile(instance: CongruenceInstance) -> ClassProfile:
 _MEMO_SLOTS = 4096
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def _class_members(n: int, s: int, d: int) -> tuple[int, ...]:
     # x = d**s * y sweeps C(d) exactly as y runs over [1, (n/d)**s]
     # avoiding p**s | y for every prime p of n/d.  (Primes at full
@@ -123,6 +123,7 @@ def class_members(n: int, s: int, d: int, budget: int = DEFAULT_CLASS_BUDGET) ->
     Enumeration scans (n/d)**s slots, and `budget` caps that scan.
     """
     check_power(n, s, "n**s")
+    d, budget = index(d), index(budget)
     if d < 1 or n % d != 0:
         raise DomainError(f"d = {show_int(d)} is not a positive divisor of n = {show_int(n)}")
     slots = (n // d) ** s
@@ -139,31 +140,29 @@ def _local_factors(instance: CongruenceInstance):
     """The factors of every nonzero term of the sum, read prime by prime.
 
     Returns (factors, gs), with gs the multiplicity g of each distinct
-    restriction t and one pair (outer, inners) in factors per p**e || n.
-    Both read the table of rows `_prime_power_row(p, r, s, e)`, r = 0 .. e,
-    for a = v_p(d) = 0 .. cap_p:
-    outer[a] = c_{p**a,s}(b), row a at the level j of b, and, for the
-    i-th distinct t, inners[i][a] = c_{p**(e - v_p(t)),s}(p**((e - a)*s)),
-    row e - v_p(t) at level e - a.  The term of d is the product over the
-    primes of outer[a] * prod(inners[i][a] ** g_i).
+    restriction t and one pair (outer, inners) in factors per p**e || n,
+    listed for a = v_p(d) = 0 .. cap_p: outer[a] = c_{p**a,s}(b), order a
+    at the level j of b, and, for the i-th distinct t, inners[i][a] =
+    c_{p**(e - v_p(t)),s}(p**((e - a)*s)), order e - v_p(t) at level
+    e - a.  The term of d is the product over the primes of
+    outer[a] * prod(inners[i][a] ** g_i).
 
-    The box rule: table entry [a][j] is zero exactly when j < a - 1, so
-    c_{d,s}(b) vanishes once v_p(d) > j + 1 and the factor of t once
-    v_p(d) > v_p(t) + 1.  With cap_p = min(e, j + 1, v_p(t) + 1 for every
-    t), every term outside the box v_p(d) <= cap_p has a zero factor, and
-    no entry listed here is zero.
+    The box rule: the sum at order a and level j is zero exactly when
+    j < a - 1, so c_{d,s}(b) vanishes once v_p(d) > j + 1 and the factor
+    of t once v_p(d) > v_p(t) + 1.  With cap_p = min(e, j + 1, v_p(t) + 1
+    for every t), every term outside the box v_p(d) <= cap_p has a zero
+    factor, and no entry listed here is zero.
     """
     s = instance.s
     counts = Counter(instance.restrictions)
     factors = []
     for p, e in factorize(instance.n):
-        table = [_prime_power_row(p, a, s, e) for a in range(e + 1)]
         j = capped_valuation(instance.b, p**s, e)
         vs = [capped_valuation(t, p, e) for t in counts]
-        cap = min([e, j + 1] + [v + 1 for v in vs])
-        # Every row from level e down to level e - cap, sliced once per prime.
-        inner = [row[e - cap :][::-1] for row in table]
-        factors.append(([row[j] for row in table[: cap + 1]], [inner[e - v] for v in vs]))
+        levels = range(min([e, j + 1] + [v + 1 for v in vs]) + 1)
+        outer = [_prime_power_sum(p, a, s, j) for a in levels]
+        inners = {v: [_prime_power_sum(p, e - v, s, e - a) for a in levels] for v in set(vs)}
+        factors.append((outer, [inners[v] for v in vs]))
     return factors, list(counts.values())
 
 

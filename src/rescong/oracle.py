@@ -40,6 +40,7 @@ def _matching_tuples(instance: CongruenceInstance, budget: int = DEFAULT_TUPLE_B
     itertools.product is exactly lexicographic order on the tuples.
     """
     n, s, ts = instance.n, instance.s, instance.restrictions
+    budget = index(budget)
     total_tuples = 1
     for t in ts:
         if total_tuples > budget:
@@ -74,7 +75,7 @@ def convolution_count(instance: CongruenceInstance, budget: int = DEFAULT_VECTOR
     of (m * w)-byte ints, Karatsuba in CPython.  `budget` caps n**s,
     which bounds the packed ints and every class enumerated.
     """
-    m = instance.modulus
+    m, budget = instance.modulus, index(budget)
     if m > budget:
         raise BudgetExceededError(
             f"modulus {show_int(m)} exceeds the vector budget {show_int(budget)}"
@@ -156,6 +157,7 @@ def enumerate_solutions(
     instance: CongruenceInstance, limit: int, budget: int = DEFAULT_TUPLE_BUDGET
 ) -> list[tuple[int, ...]]:
     """Lexicographically first solutions, at most `limit` of them."""
+    limit = index(limit)
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {show_int(limit)}")
     return list(itertools.islice(_matching_tuples(instance, budget), min(limit, sys.maxsize)))

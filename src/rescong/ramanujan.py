@@ -10,9 +10,9 @@ multiplicative in r, with the prime-power form
 
     c_{p**a,s}(n) = [p**(a*s) | n] * p**(a*s) - [p**((a-1)*s) | n] * p**((a-1)*s)
 
-so production evaluation factors r alone and reads n only through
-min(v_p(n) // s, a) at each p**a || r: `_prime_power_row` lists them by
-level, padded to the top its reader needs.  Negative arguments,
+so production evaluation factors r alone and reads n only through its
+level min(v_p(n) // s, a) at each p**a || r: `_prime_power_sum` maps
+that one number to the prime-power sum.  Negative arguments,
 periodicity mod r**s and arguments far past the factorization limit
 need no special case.  Everything here is exact integer arithmetic.
 The tests hold an exact reference independent of that form, the Moebius
@@ -36,12 +36,12 @@ def capped_valuation(m: int, q: int, cap: int) -> int:
     return j
 
 
-def _prime_power_row(p: int, a: int, s: int, top: int) -> list[int]:
-    """c_{p**a,s}(m) at every level j = min(v_p(m) // s, top) for top >= a."""
+def _prime_power_sum(p: int, a: int, s: int, j: int) -> int:
+    """c_{p**a,s}(m) at level j = min(v_p(m) // s, a); any j >= a reads as a."""
     if a == 0:
-        return [1] * (top + 1)
-    low = p ** ((a - 1) * s)
-    return [0] * (a - 1) + [-low] + [low * p**s - low] * (top - a + 1)
+        return 1
+    low = p ** ((a - 1) * s) if j >= a - 1 else 0
+    return low * p**s - low if j >= a else -low
 
 
 def cohen_ramanujan(r: int, s: int, n: int) -> int:
@@ -50,5 +50,5 @@ def cohen_ramanujan(r: int, s: int, n: int) -> int:
     check_power(r, s, "r**s")
     value = 1
     for p, a in factorize(r):
-        value *= _prime_power_row(p, a, s, a)[capped_valuation(n, p**s, a)]
+        value *= _prime_power_sum(p, a, s, capped_valuation(n, p**s, a))
     return value

@@ -127,11 +127,21 @@ class TestInstance:
             lambda: cohen_ramanujan_direct(4, 2, 5.5),
             lambda: check_power(2.0, 3, "x"),
             lambda: check_power(2, 3.0, "x"),
+            lambda: class_members(4, 2, 2.0),
+            lambda: (class_members(4, 2, 2), class_members(4, 2, 2.0)),
+            lambda: class_members(4, 2, 2, 3.0),
+            lambda: brute_force_count(CongruenceInstance(4, 2, 5, (1, 2)), budget=1.5),
+            lambda: convolution_count(CongruenceInstance(4, 2, 5, (1, 2)), budget=16.5),
+            lambda: enumerate_solutions(CongruenceInstance(4, 2, 5, (1, 2)), 0.5),
+            lambda: enumerate_solutions(CongruenceInstance(4, 2, 5, (1, 2)), 2.5),
         ],
         ids=[
             "count_b", "instance_s", "instance_t", "ramanujan_m", "ramanujan_s", "factorize_n",
             "factorize_n_after_int", "divisors_n", "mobius_n", "ggcd_s", "character_sum_m",
             "jordan_n", "class_members_n", "direct_n", "check_power_base", "check_power_exp",
+            "class_members_d", "class_members_d_after_int", "class_members_budget",
+            "brute_force_budget", "convolution_budget", "enumerate_limit_below_one",
+            "enumerate_limit",
         ],
     )
     def test_non_integers_raise_type_error(self, call):

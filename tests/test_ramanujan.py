@@ -7,7 +7,7 @@ from rescong import oracle
 from rescong.arith import generalized_gcd, jordan_totient
 from rescong.errors import BudgetExceededError, ConsistencyError, DomainError
 from rescong.oracle import cohen_ramanujan_direct
-from rescong.ramanujan import _prime_power_row, cohen_ramanujan
+from rescong.ramanujan import _prime_power_sum, cohen_ramanujan
 
 from reference import _mobius_divisor_sum
 
@@ -48,19 +48,16 @@ def test_zero_argument_gives_jordan_totient():
 
 
 @pytest.mark.parametrize("p,e,s", [(2, 4, 1), (3, 2, 2), (5, 1, 3), (13, 1, 2), (2, 6, 2)])
-def test_prime_power_row_entries(p, e, s):
-    # m = p**(s*j) sits at level j, and m = 0 at the top level.  The row is
-    # what cohen_ramanujan reads, so the Moebius divisor sum is the
-    # independent check on every entry, unpadded (top = a) and padded.
+def test_prime_power_sum_entries(p, e, s):
+    # m = p**(s*j) sits at level min(j, a), and m = 0 at level a.  The sum
+    # is what cohen_ramanujan reads, so the Moebius divisor sum is the
+    # independent check at every level up to e + 1, past every order a.
     for a in range(e + 1):
-        for top in (a, e):
-            row = _prime_power_row(p, a, s, top)
-            assert len(row) == top + 1
-            assert a > 0 or row == [1] * (top + 1)
-            for j in range(top + 1):
-                m = p ** (s * j)
-                assert row[j] == cohen_ramanujan(p**a, s, m) == _mobius_divisor_sum(p**a, s, m)
-            assert row[top] == _mobius_divisor_sum(p**a, s, 0)
+        for j in range(e + 2):
+            m = p ** (s * j)
+            value = _prime_power_sum(p, a, s, j)
+            assert value == cohen_ramanujan(p**a, s, m) == _mobius_divisor_sum(p**a, s, m)
+        assert _prime_power_sum(p, a, s, a) == _mobius_divisor_sum(p**a, s, 0)
 
 
 def level_transfer(p, e, s, big_b, f):
@@ -91,14 +88,14 @@ def level_transfer(p, e, s, big_b, f):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_rows_are_eigenvectors_of_level_transfer(p):
     # psi_a(j) = c_{p**(e-a),s}(p**(j*s)) and T_B psi_a = c_{p**(e-B),s}(p**(a*s)) psi_a:
-    # Cohen's rows diagonalize the count's recurrence, so the paper's sum
+    # Cohen's sums diagonalize the count's recurrence, so the paper's sum
     # is its spectral form.
     for e in range(1, 6):
         for s in (1, 2, 3):
             for a in range(e + 1):
-                psi = _prime_power_row(p, e - a, s, e)
+                psi = [_prime_power_sum(p, e - a, s, j) for j in range(e + 1)]
                 for big_b in range(e + 1):
-                    eigenvalue = _prime_power_row(p, e - big_b, s, e)[a]
+                    eigenvalue = _prime_power_sum(p, e - big_b, s, a)
                     expected = [eigenvalue * x for x in psi]
                     assert level_transfer(p, e, s, big_b, psi) == expected, (e, s, a, big_b)
 
