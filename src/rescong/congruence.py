@@ -15,7 +15,7 @@ assigned to C(d_j), the number of solutions is
 evaluated here entirely in exact integers.  n is factored once, and
 every c_{r,s} in the sum is a product, over p**e || n, of Cohen's
 prime-power sums (`rescong.ramanujan._prime_power_sum`), each a
-function of its order and of one level.  Only the box of divisors
+function of x = p**s, its order and one level.  Only the box of divisors
 whose term is nonzero is summed; `_local_factors` states its rule.  In
 the worked example n = 4, s = 2, b = 5, t = (1, 2), b is odd, so
 cap_2 = 1 and d = 4 is the one term dropped: c_{4,2}(5) == 0.  The
@@ -53,11 +53,11 @@ class CongruenceInstance(namedtuple("CongruenceInstance", "n s b restrictions"))
     """One restricted congruence: sum of k unknowns == b (mod n**s).
 
     `restrictions` lists the base divisors t_i of n pinning each unknown
-    to (x_i, n**s)_s == t_i**s.  k == 0 is allowed (empty sum).  The
-    target b is reduced into [0, n**s) on construction; the count is
-    n**s-periodic in b so nothing is lost.  n, s, b and every t_i must
-    be integers (`operator.index`, else TypeError), n and s >= 1, and
-    n**s at most MAX_POWER_BITS bits (`rescong.arith.check_power`).
+    to (x_i, n**s)_s == t_i**s.  k == 0 is allowed (empty sum).  Every
+    construction, `_make` and `_replace` included, reduces b into
+    [0, n**s), as the count is n**s-periodic in b, and requires n, s, b
+    and every t_i to be integers (`operator.index`, else TypeError), n
+    and s >= 1, and n**s of at most MAX_POWER_BITS bits (`check_power`).
     """
 
     __slots__ = ()
@@ -72,6 +72,10 @@ class CongruenceInstance(namedtuple("CongruenceInstance", "n s b restrictions"))
                     f"restriction t_{i} = {show_int(t)} is not a positive divisor of n = {show_int(n)}"
                 )
         return super().__new__(cls, n, s, b % n**s, restrictions)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def modulus(self) -> int:
@@ -153,15 +157,15 @@ def _local_factors(instance: CongruenceInstance):
     for every t), every term outside the box v_p(d) <= cap_p has a zero
     factor, and no entry listed here is zero.
     """
-    s = instance.s
     counts = Counter(instance.restrictions)
     factors = []
     for p, e in factorize(instance.n):
-        j = capped_valuation(instance.b, p**s, e)
+        x = p**instance.s
+        j = capped_valuation(instance.b, x, e)
         vs = [capped_valuation(t, p, e) for t in counts]
         levels = range(min([e, j + 1] + [v + 1 for v in vs]) + 1)
-        outer = [_prime_power_sum(p, a, s, j) for a in levels]
-        inners = {v: [_prime_power_sum(p, e - v, s, e - a) for a in levels] for v in set(vs)}
+        outer = [_prime_power_sum(x, a, j) for a in levels]
+        inners = {v: [_prime_power_sum(x, e - v, e - a) for a in levels] for v in set(vs)}
         factors.append((outer, [inners[v] for v in vs]))
     return factors, list(counts.values())
 

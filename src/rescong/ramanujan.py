@@ -11,10 +11,10 @@ multiplicative in r, with the prime-power form
     c_{p**a,s}(n) = [p**(a*s) | n] * p**(a*s) - [p**((a-1)*s) | n] * p**((a-1)*s)
 
 so production evaluation factors r alone and reads n only through its
-level min(v_p(n) // s, a) at each p**a || r: `_prime_power_sum` maps
-that one number to the prime-power sum.  Negative arguments,
-periodicity mod r**s and arguments far past the factorization limit
-need no special case.  Everything here is exact integer arithmetic.
+level min(v_p(n) // s, a) at each p**a || r, and p and s only through
+x = p**s: `_prime_power_sum(x, a, j)` is a polynomial in x.  Negative
+arguments, periodicity mod r**s and arguments far past the factorization
+limit need no special case.  Everything here is exact integer arithmetic.
 The tests hold an exact reference independent of that form, the Moebius
 divisor sum in `tests/reference.py`; the exponential definition itself
 is evaluated in floating point by `rescong.oracle.cohen_ramanujan_direct`.
@@ -36,12 +36,12 @@ def capped_valuation(m: int, q: int, cap: int) -> int:
     return j
 
 
-def _prime_power_sum(p: int, a: int, s: int, j: int) -> int:
-    """c_{p**a,s}(m) at level j = min(v_p(m) // s, a); any j >= a reads as a."""
+def _prime_power_sum(x: int, a: int, j: int) -> int:
+    """c_{p**a,s}(m) for x = p**s at level j = min(v_p(m) // s, a); any j >= a reads as a."""
     if a == 0:
         return 1
-    low = p ** ((a - 1) * s) if j >= a - 1 else 0
-    return low * p**s - low if j >= a else -low
+    low = x ** (a - 1) if j >= a - 1 else 0
+    return low * x - low if j >= a else -low
 
 
 def cohen_ramanujan(r: int, s: int, n: int) -> int:
@@ -50,5 +50,6 @@ def cohen_ramanujan(r: int, s: int, n: int) -> int:
     check_power(r, s, "r**s")
     value = 1
     for p, a in factorize(r):
-        value *= _prime_power_sum(p, a, s, capped_valuation(n, p**s, a))
+        x = p**s
+        value *= _prime_power_sum(x, a, capped_valuation(n, x, a))
     return value

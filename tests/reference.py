@@ -4,10 +4,12 @@ None of this is on the engine's path.  It holds the classic s == 1
 counts that the paper's restricted count generalizes (Lehmer's gcd
 criterion, the Rademacher-Brauer prime product, the Nicol-Vandiver
 Ramanujan-sum form), the Moebius divisor sum for c_{r,s}, which shares
-nothing with Cohen's prime-power form, the full grid walk that fixes
-the order in which `rescong.verification.engine_sweep` visits
-instances, and the structural identity suites at fixed ranges, which
-`engine_sweep` checks only on the k = 1 instances of its grid.
+nothing with Cohen's prime-power form, the level recurrence of one
+prime's count and the two identities that turn it into the paper's
+local sum, the full grid walk that fixes the order in which
+`rescong.verification.engine_sweep` visits instances, and the
+structural identity suites at fixed ranges, which `engine_sweep` checks
+only on the k = 1 instances of its grid.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from rescong.arith import divisors, factorize, generalized_gcd, jordan_totient, mobius
 from rescong.congruence import CongruenceInstance
 from rescong.errors import ConsistencyError, DomainError
-from rescong.ramanujan import cohen_ramanujan
+from rescong.ramanujan import _prime_power_sum, cohen_ramanujan
 
 
 def is_prime(n: int) -> bool:
@@ -85,6 +87,77 @@ def _mobius_divisor_sum(r: int, s: int, m: int) -> int:
         if m % ds == 0:
             total += mobius(r // d) * ds
     return total
+
+
+def level_transfer(x: int, e: int, big_b: int, f: list[int]) -> list[int]:
+    """Add one unknown of level B to the count vector f over levels 0 .. e.
+
+    At p**e || n with x = p**s, the level of a residue z mod p**(e*s) is
+    min(v_p(z) // s, e), and level j holds x**(e - j) - x**(e - j - 1)
+    residues, 1 at j = e.  Entry c of f counts the ways to reach one
+    residue z of level c; so does entry c of the result, with one more
+    unknown.  Only class sizes and one coset count appear: no Ramanujan
+    sum and no division.
+    """
+    size = [x ** (e - j) - x ** (e - j - 1) for j in range(e)] + [1]
+    # above[c] = sum(size[j] * f[j] for c < j <= e)
+    above = [0] * (e + 1)
+    for c in range(e - 1, -1, -1):
+        above[c] = above[c + 1] + size[c + 1] * f[c + 1]
+    out = []
+    for c in range(e + 1):
+        if big_b < c:
+            out.append(size[big_b] * f[big_b])
+        elif big_b > c:
+            out.append(size[big_b] * f[c])
+        elif c == e:
+            out.append(f[e])
+        else:
+            # y runs over level c: z - y stays at level c except on the
+            # x**(e - c - 1) members of the coset z + p**((c+1)*s), where it
+            # runs once over every residue above level c.
+            out.append((size[c] - x ** (e - c - 1)) * f[c] + above[c])
+    return out
+
+
+def level_identity_failures(max_e: int) -> list[str]:
+    """The identities that make the level recurrence the paper's local sum.
+
+    For p**e || n, x = p**s and psi_a[j] = c_{p**(e-a),s}(p**(j*s)), read
+    from the production kernel `_prime_power_sum`, for e = 0 .. max_e:
+
+    (i)  level_transfer(x, e, B, psi_a) = c_{p**(e-B),s}(p**(a*s)) * psi_a
+         for all a, B in 0 .. e: Cohen's sums diagonalize the recurrence;
+    (ii) sum(psi_a over a) = x**e * delta_e, the divisor sum
+         sum(c_{d,s}(m) for d | p**e) = p**(e*s) * [p**(e*s) | m].
+
+    Expanding the start vector delta_e by (ii) and applying (i) once per
+    unknown gives the paper's local sum over x**e, for every k and g.
+    Returns one line per failed identity; none means both hold.
+    """
+    failures = []
+    for e in range(max_e + 1):
+        # The kernel branches only on its order and level, so every entry
+        # on either side is an integer polynomial in x of degree at most 2e:
+        # at most e for a sum or a class size, and products of two.  Two
+        # such polynomials equal at 2e + 1 points are equal, so x = 2 ..
+        # 2e + 2, prime powers or not, proves both at every x = p**s.
+        points = range(2, 2 * e + 3)
+        psis = {x: [[_prime_power_sum(x, e - a, j) for j in range(e + 1)] for a in range(e + 1)]
+                for x in points}
+        for a in range(e + 1):
+            for big_b in range(e + 1):
+                for x in points:
+                    psi = psis[x][a]
+                    eigenvalue = _prime_power_sum(x, e - big_b, a)
+                    if level_transfer(x, e, big_b, psi) != [eigenvalue * v for v in psi]:
+                        failures.append(f"(i) e={e} a={a} B={big_b}, first at x={x}")
+                        break
+        for x in points:
+            if list(map(sum, zip(*psis[x]))) != [0] * e + [x**e]:
+                failures.append(f"(ii) e={e}, first at x={x}")
+                break
+    return failures
 
 
 def iter_instances(cfg):

@@ -94,6 +94,18 @@ class TestInstance:
         assert inst.k == 2 and inst.modulus == 16
         assert CongruenceInstance(n=6, s=1, b=-1).restrictions == ()
 
+    def test_make_and_replace_check_like_construction(self):
+        replaced = WORKED._replace(b=21)
+        assert replaced == WORKED
+        assert count_restricted(replaced) == brute_force_count(replaced) == 3
+        assert convolution_count(replaced) == 3
+        with pytest.raises(DomainError, match="t_1 = 3"):
+            CongruenceInstance._make((4, 2, 5, (3,)))
+        with pytest.raises(DomainError, match="t_2 = 3"):
+            WORKED._replace(restrictions=(1, 3))
+        frozen = WORKED._replace(restrictions=[1, 2])
+        assert frozen.restrictions == (1, 2) and hash(frozen) == hash(WORKED)
+
     @pytest.mark.parametrize(
         "args,message",
         [

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -5,11 +6,12 @@ from hypothesis import assume, given, strategies as st
 
 from rescong import oracle
 from rescong.arith import generalized_gcd, jordan_totient
+from rescong.congruence import CongruenceInstance, count_restricted
 from rescong.errors import BudgetExceededError, ConsistencyError, DomainError
-from rescong.oracle import cohen_ramanujan_direct
-from rescong.ramanujan import _prime_power_sum, cohen_ramanujan
+from rescong.oracle import brute_force_count, cohen_ramanujan_direct
+from rescong.ramanujan import _prime_power_sum, capped_valuation, cohen_ramanujan
 
-from reference import _mobius_divisor_sum
+from reference import _mobius_divisor_sum, level_identity_failures, level_transfer
 
 # the five sums behind the worked mod-16 computation, plus small anchors
 KNOWN_VALUES = [
@@ -55,49 +57,41 @@ def test_prime_power_sum_entries(p, e, s):
     for a in range(e + 1):
         for j in range(e + 2):
             m = p ** (s * j)
-            value = _prime_power_sum(p, a, s, j)
+            value = _prime_power_sum(p**s, a, j)
             assert value == cohen_ramanujan(p**a, s, m) == _mobius_divisor_sum(p**a, s, m)
-        assert _prime_power_sum(p, a, s, a) == _mobius_divisor_sum(p**a, s, 0)
+        assert _prime_power_sum(p**s, a, a) == _mobius_divisor_sum(p**a, s, 0)
 
 
-def level_transfer(p, e, s, big_b, f):
-    """Add one unknown of level B to the count vector f over levels 0 .. e.
-
-    The level of x mod p**(e*s) is min(v_p(x) // s, e), and level j holds
-    J_s(p**(e - j)) residues.  Entry c of the result counts the ways to
-    reach one residue z of level c.  Only class sizes appear: no
-    Ramanujan sum.
-    """
-    size = [jordan_totient(p ** (e - j), s) for j in range(e + 1)]
-    out = []
-    for c in range(e + 1):
-        if big_b < c:
-            out.append(size[big_b] * f[big_b])
-        elif big_b > c:
-            out.append(size[big_b] * f[c])
-        elif c == e:
-            out.append(f[e])
-        else:
-            # y runs over level c: z - y stays at level c except on the coset
-            # z + p**((c+1)*s), where it lands above.
-            above = sum(size[j] * f[j] for j in range(c + 1, e + 1))
-            out.append((size[c] - p ** ((e - c - 1) * s)) * f[c] + above)
-    return out
+def test_level_identities_hold_for_every_x():
+    # (i) and (ii) as polynomial identities in x = p**s for every exponent
+    # e <= 20; CI runs the same check to e = 39, every exponent of an
+    # n <= FACTORIZE_LIMIT (2**39 < 10**12 < 2**40).
+    assert level_identity_failures(20) == []
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_rows_are_eigenvectors_of_level_transfer(p):
-    # psi_a(j) = c_{p**(e-a),s}(p**(j*s)) and T_B psi_a = c_{p**(e-B),s}(p**(a*s)) psi_a:
-    # Cohen's sums diagonalize the count's recurrence, so the paper's sum
-    # is its spectral form.
-    for e in range(1, 6):
+def test_level_recurrence_counts():
+    # The lemma under (i) and (ii): starting from delta_e, one
+    # level_transfer per unknown counts the solutions mod p**(e*s), so its
+    # entry at the level of b is the count of both independent engines.
+    checked = 0
+    for p in (2, 3, 5):
         for s in (1, 2, 3):
-            for a in range(e + 1):
-                psi = [_prime_power_sum(p, e - a, s, j) for j in range(e + 1)]
-                for big_b in range(e + 1):
-                    eigenvalue = _prime_power_sum(p, e - big_b, s, a)
-                    expected = [eigenvalue * x for x in psi]
-                    assert level_transfer(p, e, s, big_b, psi) == expected, (e, s, a, big_b)
+            x = p**s
+            for e in range(1, 4):
+                if x**e > 200:
+                    continue
+                for k in range(4 if x**e <= 30 else 3):
+                    # The count is symmetric in the unknowns: one order each.
+                    for big_bs in itertools.combinations_with_replacement(range(e + 1), k):
+                        f = [0] * e + [1]
+                        for big_b in big_bs:
+                            f = level_transfer(x, e, big_b, f)
+                        for b in range(x**e):
+                            inst = CongruenceInstance(p**e, s, b, [p**big_b for big_b in big_bs])
+                            count = f[capped_valuation(b, x, e)]
+                            assert count == brute_force_count(inst) == count_restricted(inst), inst
+                            checked += 1
+    assert checked == 8170
 
 
 def test_rejects_bad_arguments():
