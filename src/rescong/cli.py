@@ -21,7 +21,6 @@ integer arrays.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
@@ -30,7 +29,7 @@ from collections.abc import Callable
 from .arith import check_power, divisors, generalized_gcd, jordan_totient
 from .congruence import CongruenceInstance, class_members, count_restricted
 from .errors import BudgetExceededError, DomainError, show_int
-from .oracle import _matching_tuples, brute_force_count, convolution_count
+from .oracle import brute_force_count, convolution_count, enumerate_solutions
 from .ramanujan import cohen_ramanujan
 from .verification import SweepConfig, engine_sweep
 
@@ -160,12 +159,13 @@ def cmd_classes(args) -> _Reply:
 
 def cmd_solve(args) -> _Reply:
     inst, params = _instance(args)
-    if args.limit < 1:
-        raise DomainError(f"limit must be >= 1, got {show_int(args.limit)}")
-    # One walk: keep the first --limit solutions, count the rest.
-    walk = _matching_tuples(inst, **_budget(args))
-    solutions = [list(sol) for sol in itertools.islice(walk, min(args.limit, sys.maxsize))]
-    result = {"solutions": solutions, "count": str(len(solutions) + sum(1 for _ in walk))}
+    budget = _budget(args)
+    solutions = enumerate_solutions(inst, args.limit, **budget)
+    try:
+        count = count_restricted(inst)
+    except DomainError:  # n past FACTORIZE_LIMIT: only the walk answers
+        count = brute_force_count(inst, **budget)
+    result = {"solutions": solutions, "count": str(count)}
     return params | {"limit": args.limit}, result, lambda: [
         _pairs(params),
         *(",".join(map(str, sol)) if sol else "()" for sol in solutions),

@@ -156,7 +156,7 @@ def cohen_ramanujan_direct(r: int, s: int, n: int, budget: int = DEFAULT_VECTOR_
 def enumerate_solutions(
     instance: CongruenceInstance, limit: int, budget: int = DEFAULT_TUPLE_BUDGET
 ) -> list[tuple[int, ...]]:
-    """Lexicographically first solutions, at most `limit` of them."""
+    """Lexicographically first solutions, at most `limit`; `rescong solve` lists through it."""
     limit = index(limit)
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {show_int(limit)}")

@@ -2,6 +2,7 @@ import argparse
 import decimal
 import importlib.util
 import io
+import itertools
 import json
 import os
 import re
@@ -418,6 +419,63 @@ class TestSolve:
         )
         assert (code, err) == (0, "")
         assert out.splitlines()[1:] == ["1,4", "9,12", "13,8", "count = 3"]
+
+    # C(1) x C(4) of 27720 holds 5760 * 1440 = 8,294,400 tuples.
+    WALK_CAP = 8_294_400 // 10
+
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        """Tuples yielded by itertools.product; past WALK_CAP is a failure."""
+        seen = [0]
+        product = itertools.product
+
+        def counting(*iterables):
+            for combo in product(*iterables):
+                seen[0] += 1
+                if seen[0] > self.WALK_CAP:
+                    raise AssertionError(f"walked past {self.WALK_CAP} tuples")
+                yield combo
+
+        monkeypatch.setattr(itertools, "product", counting)
+        return seen
+
+    def test_listing_stops_at_the_limit(self, capsys, walked):
+        argv = ["solve", "--n", "27720", "--s", "1", "--b", "1", "--t", "1,4", "--limit", "10"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 12 and lines[-1] == "count = 405"
+        assert 0 < walked[0] < self.WALK_CAP
+
+    def test_count_does_not_walk_the_tuple_space(self, capsys, walked):
+        # 1152**3 tuples: walking them all to count was killed after 60 s.
+        argv = ["solve", "--n", "5040", "--s", "1", "--b", "1", "--t", "1,1,1", "--limit", "2"]
+        code, out, err = run_cli(capsys, *argv, "--budget", HUGE)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["1,1,5039", "1,11,5029", "count = 696384"]
+
+    @pytest.mark.parametrize(
+        "flags, line",
+        [(["--b", "0"], "count = 1"), (["--b", "1"], "count = 0"),
+         (["--b", "0", "--t", "1000000000039"], "count = 1")],
+    )
+    def test_walk_counts_past_the_factorization_limit(self, capsys, flags, line):
+        # n is past FACTORIZE_LIMIT, so the closed form refuses it; the walk answers.
+        code, out, err = run_cli(capsys, "solve", "--n", "1000000000039", "--s", "1", *flags)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == line
+
+    @pytest.mark.parametrize("n, s", [(n, s) for n in range(1, 7) for s in (1, 2)])
+    def test_agrees_with_the_walk_on_every_small_instance(self, capsys, n, s):
+        ts = (t for k in range(3) for t in itertools.product(divisors(n), repeat=k))
+        for t, b in itertools.product(list(ts), range(n**s)):
+            inst = congruence.CongruenceInstance(n, s, b, t)
+            argv = ["--n", str(n), "--s", str(s), "--b", str(b), "--t", cli._t_display(t)]
+            code, out, _ = run_cli(capsys, "solve", *argv, "--limit", "1", "--format", "json")
+            result = json.loads(out)["result"]
+            assert code == 0 and result["count"] == str(oracle.brute_force_count(inst))
+            first = [list(sol) for sol in oracle.enumerate_solutions(inst, 1)]
+            assert result["solutions"] == first, inst
 
 
 class TestVerify:
