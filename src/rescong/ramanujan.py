@@ -15,9 +15,9 @@ level min(v_p(n) // s, a) at each p**a || r, and p and s only through
 x = p**s: `_prime_power_sum(x, a, j)` is a polynomial in x.  Negative
 arguments, periodicity mod r**s and arguments far past the factorization
 limit need no special case.  Everything here is exact integer arithmetic.
-The tests hold an exact reference independent of that form, the Moebius
-divisor sum in `tests/reference.py`; the exponential definition itself
-is evaluated in floating point by `rescong.oracle.cohen_ramanujan_direct`.
+The tests hold two references independent of that form in
+`tests/reference.py`: the exact Moebius divisor sum, and the exponential
+definition itself evaluated in floating point.
 """
 
 from __future__ import annotations

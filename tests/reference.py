@@ -4,9 +4,10 @@ None of this is on the engine's path.  It holds the classic s == 1
 counts that the paper's restricted count generalizes (Lehmer's gcd
 criterion, the Rademacher-Brauer prime product, the Nicol-Vandiver
 Ramanujan-sum form), the Moebius divisor sum for c_{r,s}, which shares
-nothing with Cohen's prime-power form, the level recurrence of one
-prime's count and the two identities that turn it into the paper's
-local sum, the full grid walk that fixes the order in which
+nothing with Cohen's prime-power form, Cohen's exponential definition
+of c_{r,s} and the class character sums behind it, both in floating
+point, the level recurrence of one prime's count and the two
+identities that turn it into the paper's local sum, the full grid walk that fixes the order in which
 `rescong.verification.engine_sweep` visits instances, and the
 structural identity suites at fixed ranges, which `engine_sweep` checks
 only on the k = 1 instances of its grid.
@@ -16,11 +17,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import index
 
-from rescong.arith import divisors, factorize, generalized_gcd, jordan_totient, mobius
-from rescong.congruence import CongruenceInstance
-from rescong.errors import ConsistencyError, DomainError
+from rescong.arith import check_power, divisors, factorize, generalized_gcd, jordan_totient, mobius
+from rescong.congruence import DEFAULT_CLASS_BUDGET, CongruenceInstance, class_members
+from rescong.errors import ConsistencyError, DomainError, show_int
+from rescong.oracle import DEFAULT_VECTOR_BUDGET
 from rescong.ramanujan import _prime_power_sum, cohen_ramanujan
+
+# Round-off for <= 10**5 unit-modulus terms summed with math.fsum stays
+# orders of magnitude below this.
+DIRECT_TOLERANCE = 1e-6
 
 
 def is_prime(n: int) -> bool:
@@ -87,6 +94,43 @@ def _mobius_divisor_sum(r: int, s: int, m: int) -> int:
         if m % ds == 0:
             total += mobius(r // d) * ds
     return total
+
+
+def class_character_sum(
+    n: int, s: int, d: int, m: int, budget: int = DEFAULT_CLASS_BUDGET
+) -> complex:
+    """sum(e(m * x / n**s) for x in C(d)); lands on c_{n/d, s}(m).
+
+    The real and imaginary parts are each summed with math.fsum, and
+    returned un-rounded so callers can check the residual themselves.
+    """
+    members = class_members(n, s, d, budget=budget)
+    ns = n**s
+    m_red = index(m) % ns
+    angles = [2.0 * math.pi * ((m_red * x) % ns) / ns for x in members]
+    return complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
+
+
+def cohen_ramanujan_direct(r: int, s: int, n: int, budget: int = DEFAULT_VECTOR_BUDGET) -> int:
+    """c_{r,s}(n) straight from the exponential definition.
+
+    The j in [1, r**s] with (j, r**s)_s == 1 are the class C(1) of r, so
+    this is class_character_sum(r, s, 1, n), whose r**s-slot scan
+    `budget` caps, snapped to the nearest integer.  A residual (imaginary
+    part or distance to that integer) at or above DIRECT_TOLERANCE means
+    the exact path and this one cannot both be right, so it raises
+    ConsistencyError.
+    """
+    check_power(r, s, "r**s")
+    total = class_character_sum(r, s, 1, n, budget)
+    nearest = round(total.real)
+    tol = DIRECT_TOLERANCE
+    if abs(total.imag) >= tol or abs(total.real - nearest) >= tol:
+        raise ConsistencyError(
+            f"direct sum for c_{{{show_int(r)},{show_int(s)}}}({show_int(n)}) = {total!r} "
+            f"is not within {tol} of an integer"
+        )
+    return int(nearest)
 
 
 def level_transfer(x: int, e: int, big_b: int, f: list[int]) -> list[int]:

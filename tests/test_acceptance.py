@@ -16,11 +16,17 @@ import time
 from rescong import congruence
 from rescong.arith import divisors, factorize
 from rescong.congruence import CongruenceInstance, count_restricted, fourier_numerator
-from rescong.oracle import class_character_sum, cohen_ramanujan_direct, enumerate_solutions
+from rescong.oracle import enumerate_solutions
 from rescong.ramanujan import cohen_ramanujan
 from rescong.verification import SweepConfig, engine_sweep
 
-from reference import count_units_nicol, count_units_rademacher, identity_suites
+from reference import (
+    class_character_sum,
+    cohen_ramanujan_direct,
+    count_units_nicol,
+    count_units_rademacher,
+    identity_suites,
+)
 
 WORKED = CongruenceInstance(n=4, s=2, b=5, restrictions=(1, 2))
 

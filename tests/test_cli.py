@@ -454,6 +454,16 @@ class TestSolve:
         assert (code, err) == (0, "")
         assert out.splitlines()[1:] == ["1,1,5039", "1,11,5029", "count = 696384"]
 
+    def test_listing_past_the_budget_exits_one(self, capsys):
+        # 9 tuples, none a solution: a budget of 5 leaves 4 unwalked.
+        argv = ["solve", "--n", "4", "--s", "2", "--b", "1", "--t", "2,2", "--budget"]
+        code, out, err = run_cli(capsys, *argv, "5")
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+        # Convolution cannot list solutions, so the message names the budget, not an engine.
+        assert "walked 5 tuples" in err and "convolution_count" not in err
+        code, out, err = run_cli(capsys, *argv, "9")
+        assert (code, err) == (0, "") and out.splitlines()[1:] == ["count = 0"]
+
     @pytest.mark.parametrize(
         "flags, line",
         [(["--b", "0"], "count = 1"), (["--b", "1"], "count = 0"),

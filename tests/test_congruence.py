@@ -21,17 +21,17 @@ from rescong.congruence import (
     fourier_numerator,
 )
 from rescong.errors import SHOWN_BITS, BudgetExceededError, ConsistencyError, DomainError, show_int
-from rescong.oracle import (
-    brute_force_count,
-    class_character_sum,
-    cohen_ramanujan_direct,
-    convolution_count,
-    enumerate_solutions,
-)
+from rescong.oracle import brute_force_count, convolution_count, enumerate_solutions
 from rescong.ramanujan import cohen_ramanujan
 from rescong.verification import SweepConfig, engine_sweep
 
-from reference import count_units_nicol, count_units_rademacher, count_unrestricted_lehmer
+from reference import (
+    class_character_sum,
+    cohen_ramanujan_direct,
+    count_units_nicol,
+    count_units_rademacher,
+    count_unrestricted_lehmer,
+)
 
 WORKED = CongruenceInstance(n=4, s=2, b=5, restrictions=(1, 2))
 # 5001 digits, past the interpreter's default 4300-digit int <-> str cap.

@@ -7,13 +7,10 @@ from rescong import oracle
 from rescong.arith import divisors, generalized_gcd
 from rescong.congruence import CongruenceInstance, class_members, count_restricted
 from rescong.errors import BudgetExceededError, ConsistencyError, DomainError
-from rescong.oracle import (
-    brute_force_count,
-    class_character_sum,
-    convolution_count,
-    enumerate_solutions,
-)
+from rescong.oracle import brute_force_count, convolution_count, enumerate_solutions
 from rescong.ramanujan import cohen_ramanujan
+
+from reference import class_character_sum
 
 WORKED = CongruenceInstance(n=4, s=2, b=5, restrictions=(1, 2))
 
@@ -187,6 +184,18 @@ class TestEnumerateSolutions:
     def test_rejects_nonpositive_limit(self):
         with pytest.raises(DomainError):
             enumerate_solutions(WORKED, limit=0)
+
+    def test_tuple_space_past_the_budget_still_lists(self):
+        # 1152**3 tuples, past the default budget; the two solutions come early.
+        inst = CongruenceInstance(5040, 1, 1, (1, 1, 1))
+        assert enumerate_solutions(inst, 2) == [(1, 1, 5039), (1, 11, 5029)]
+
+    def test_budget_bounds_the_tuples_walked(self):
+        inst = CongruenceInstance(4, 2, 1, (2, 2))  # 3 * 3 = 9 tuples, no solution
+        assert count_restricted(inst) == 0
+        with pytest.raises(BudgetExceededError, match="walked 5 tuples"):
+            enumerate_solutions(inst, 1, budget=5)
+        assert enumerate_solutions(inst, 1, budget=9) == []
 
     @given(small_instances())
     @settings(max_examples=80, deadline=None)
