@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
+from bisect import bisect_left
 from collections import Counter
 from operator import index
 
@@ -24,30 +24,13 @@ DEFAULT_TUPLE_BUDGET = 10**7
 DEFAULT_VECTOR_BUDGET = 10**5
 
 
-def _tuple_space(instance: CongruenceInstance, budget: int):
-    """Iterator over the admissible tuples of `instance`, lexicographically.
-
-    Each class is enumerated under `budget`.  Class member lists are
-    ascending, so the odometer order of itertools.product is exactly
-    lexicographic order on the tuples.
-    """
-    n, s = instance.n, instance.s
-    return itertools.product(*(class_members(n, s, t, budget) for t in instance.restrictions))
-
-
-def _matching_tuples(instance: CongruenceInstance, tuples):
-    """The tuples of `tuples` that solve `instance`, in their order."""
-    modulus, target = instance.modulus, instance.b
-    return (combo for combo in tuples if sum(combo) % modulus == target)
-
-
 def brute_force_count(instance: CongruenceInstance, budget: int = DEFAULT_TUPLE_BUDGET) -> int:
     """Ground truth: walk every admissible tuple and count the hits.
 
     The tuple space, the product of the class sizes J_s(n / t_i), is
     checked against `budget` before any class is enumerated; the check
     stops at the first partial product past it, the empty product 1
-    included.
+    included.  Each class is then enumerated under the same budget.
     """
     n, s, budget = instance.n, instance.s, index(budget)
     total_tuples = 1
@@ -60,7 +43,9 @@ def brute_force_count(instance: CongruenceInstance, budget: int = DEFAULT_TUPLE_
             f"the tuple space holds at least {show_int(total_tuples)} tuples, past the "
             f"enumeration budget {show_int(budget)}; use convolution_count instead"
         )
-    return sum(1 for _ in _matching_tuples(instance, _tuple_space(instance, budget)))
+    member_lists = [class_members(n, s, t, budget) for t in instance.restrictions]
+    modulus, target = instance.modulus, instance.b
+    return sum(1 for combo in itertools.product(*member_lists) if sum(combo) % modulus == target)
 
 
 def convolution_count(instance: CongruenceInstance, budget: int = DEFAULT_VECTOR_BUDGET) -> int:
@@ -122,19 +107,57 @@ def enumerate_solutions(
 ) -> list[tuple[int, ...]]:
     """Lexicographically first solutions, at most `limit`; `rescong solve` lists through it.
 
-    `budget` bounds the tuples the listing walks, and each class scan.
-    The listing is refused only when it walks `budget` tuples, finds
-    fewer than `limit` solutions, and tuples are still left.
+    `budget` bounds the tuples walked, the slots of the class scans (each
+    distinct t once) and the entries listed.  The walk is refused only
+    when it walks `budget` tuples, finds fewer than `limit` solutions,
+    and tuples are left.  An odometer turns every position whose class
+    has two or more members but the last such, whose block of tuples one
+    bisection walks: its members lie in [1, n**s], so at most one meets
+    b minus the rest of the sum.  A block costs O(1) amortized, whatever
+    k is, and a solution O(k).
     """
+    n, s, m, b = instance.n, instance.s, instance.modulus, instance.b
     limit, budget = index(limit), index(budget)
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {show_int(limit)}")
-    tuples = _tuple_space(instance, budget)
-    walk = itertools.islice(tuples, max(0, min(budget, sys.maxsize)))
-    solutions = list(itertools.islice(_matching_tuples(instance, walk), min(limit, sys.maxsize)))
-    if len(solutions) < limit and next(tuples, None) is not None:
+    ts = set(instance.restrictions)
+    if (scan := sum((n // t) ** s for t in ts)) > budget:
         raise BudgetExceededError(
-            f"the listing walked {show_int(budget)} tuples, its enumeration budget, and "
-            f"found {len(solutions)} of the {show_int(limit)} solutions asked for"
+            f"the listing's classes scan {show_int(scan)} slots, past the budget {show_int(budget)}"
         )
-    return solutions
+    members = {t: class_members(n, s, t, budget) for t in ts}
+    pools = [members[t] for t in instance.restrictions]
+    turning = [i for i, pool in enumerate(pools) if len(pool) > 1]
+    inner = turning.pop() if turning else -1
+    block = pools[inner] if pools else (m,)  # k = 0: m = 0 (mod m) is the empty tuple
+    digits = [0] * max(1, len(pools))
+    rest = sum(pool[0] for pool in pools) - block[0]
+    solutions, walked = [], 0
+    while True:
+        room = min(len(block), budget - walked)
+        x = (b - rest) % m or m
+        j = bisect_left(block, x)
+        if j < room and block[j] == x:
+            if (len(solutions) + 1) * len(pools) > budget:
+                raise BudgetExceededError(
+                    f"{len(solutions) + 1} solutions of {len(pools)} entries each pass the "
+                    f"budget {show_int(budget)}"
+                )
+            digits[inner] = j
+            solutions.append(tuple(pool[d] for pool, d in zip(pools, digits)))
+            if len(solutions) == limit:
+                return solutions
+        walked += room
+        if room < len(block):
+            raise BudgetExceededError(
+                f"the listing walked {show_int(budget)} tuples, its enumeration budget, and "
+                f"found {len(solutions)} of the {show_int(limit)} solutions asked for"
+            )
+        for i in reversed(turning):
+            pool, d = pools[i], digits[i]
+            if d + 1 < len(pool):
+                digits[i], rest = d + 1, rest + pool[d + 1] - pool[d]
+                break
+            digits[i], rest = 0, rest + pool[0] - pool[d]
+        else:
+            return solutions

@@ -440,7 +440,9 @@ class TestSolve:
         return seen
 
     def test_listing_stops_at_the_limit(self, capsys, walked):
-        argv = ["solve", "--n", "27720", "--s", "1", "--b", "1", "--t", "1,4", "--limit", "10"]
+        # --budget caps the tuples the listing walks before its tenth solution.
+        argv = ["solve", "--n", "27720", "--s", "1", "--b", "1", "--t", "1,4", "--limit", "10",
+                "--budget", str(self.WALK_CAP)]
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         lines = out.splitlines()
@@ -463,6 +465,14 @@ class TestSolve:
         assert "walked 5 tuples" in err and "convolution_count" not in err
         code, out, err = run_cli(capsys, *argv, "9")
         assert (code, err) == (0, "") and out.splitlines()[1:] == ["count = 0"]
+
+    def test_long_listing_without_solutions_is_refused_fast(self, capsys):
+        # 1000 units of 5040 are odd, so their sum is even: 10**7 tuples walk by without a hit.
+        g = ",".join(["1000"] + ["0"] * 59)
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "solve", "--n", "5040", "--s", "1", "--b", "1", "--g", g)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (1, "") and "walked 10000000 tuples" in err
 
     @pytest.mark.parametrize(
         "flags, line",

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -196,6 +197,44 @@ class TestEnumerateSolutions:
         with pytest.raises(BudgetExceededError, match="walked 5 tuples"):
             enumerate_solutions(inst, 1, budget=5)
         assert enumerate_solutions(inst, 1, budget=9) == []
+
+    def test_budget_bounds_the_class_scans(self):
+        inst = CongruenceInstance(5040, 1, 4, (1, 2, 1))  # scans 5040 + 2520 slots
+        with pytest.raises(BudgetExceededError, match="7560 slots"):
+            enumerate_solutions(inst, 1, budget=7559)
+        assert enumerate_solutions(inst, 1, budget=7560) == [(1, 2, 1)]
+
+    def test_each_distinct_class_is_built_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "class_members", lambda *a: calls.append(a) or class_members(*a))
+        enumerate_solutions(CongruenceInstance(5040, 1, 7, (1, 2, 1, 2, 1)), 2)
+        assert sorted(t for _, _, t, _ in calls) == [1, 2]
+
+    def test_budget_bounds_the_entries_listed(self):
+        inst = CongruenceInstance(3, 1, 0, (1, 1))  # (1, 2) and (2, 1): 4 entries
+        with pytest.raises(BudgetExceededError, match="2 solutions of 2 entries"):
+            enumerate_solutions(inst, 2, budget=3)
+        assert enumerate_solutions(inst, 2, budget=4) == [(1, 2), (2, 1)]
+
+    def test_negative_budget_is_refused_before_the_walk(self):
+        with pytest.raises(BudgetExceededError, match="past the budget -1") as info:
+            enumerate_solutions(CongruenceInstance(4, 2, 0), 1, budget=-1)
+        assert "walked" not in str(info.value)
+
+    @given(small_instances(), st.integers(1, 4), st.integers(0, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_budget_walks_the_tuples_in_order(self, inst, limit, budget):
+        # The reference walks itertools.product; the listing must match it tuple for tuple.
+        pools = [class_members(inst.n, inst.s, t) for t in inst.restrictions]
+        walk = list(itertools.islice(itertools.product(*pools), budget + 1))
+        hits = [c for c in walk[:budget] if sum(c) % inst.modulus == inst.b][:limit]
+        scan = sum((inst.n // t) ** inst.s for t in set(inst.restrictions))
+        left = len(walk) > budget
+        if scan > budget or len(hits) * inst.k > budget or (len(hits) < limit and left):
+            with pytest.raises(BudgetExceededError):
+                enumerate_solutions(inst, limit, budget)
+        else:
+            assert enumerate_solutions(inst, limit, budget) == hits
 
     @given(small_instances())
     @settings(max_examples=80, deadline=None)
