@@ -13,14 +13,15 @@ Exit codes: 0 success, 1 usage or domain error, 2 verification mismatch.
 
 With --format json every command prints one record
 {"command", "params", "engine", "result", "elapsed_ms"} with sorted keys.
-Count-like integers are serialized as decimal strings so arbitrary
-precision survives the trip; class members and solution tuples stay
-integer arrays.
+Every integer in it is a decimal string, so a default JSON reader takes
+any number of digits; booleans, null and the float timings stay JSON
+types.  `main` converts each integer once, for either format.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -88,9 +89,7 @@ def _instance(args) -> tuple[CongruenceInstance, dict]:
     else:
         restrictions = tuple(_parse_int_list(args.t, "--t"))
     inst = CongruenceInstance(n=args.n, s=args.s, b=args.b, restrictions=restrictions)
-    params = {
-        "n": args.n, "s": args.s, "b": args.b, "t": list(restrictions), "modulus": inst.modulus
-    }
+    params = {"n": args.n, "s": args.s, "b": args.b, "t": restrictions, "modulus": inst.modulus}
     return inst, params
 
 
@@ -104,10 +103,18 @@ def _pairs(record: dict) -> str:
     return " ".join(shown)
 
 
-# Every cmd_* returns params, result and `text`, a function that builds the
-# text lines from them.  main calls it only for --format text: n**s in
-# decimal takes seconds near MAX_POWER_BITS, so no text is built for json.
-_Reply = tuple[dict, dict, Callable[[], list[str]]]
+# Every cmd_* returns params, result and `text`, which builds the text lines from the two
+# once `_decimal` has made their integers decimal strings; main calls it for --format text.
+_Reply = tuple[dict, dict, Callable[[dict, dict], list[str]]]
+
+
+def _decimal(value, show: Callable[[int], str]):
+    """A copy of `value` with each int in it (not bool, nested too) as its string `show(int)`."""
+    if isinstance(value, dict):
+        return {key: _decimal(item, show) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [show(item) if type(item) is int else _decimal(item, show) for item in value]
+    return show(value) if type(value) is int else value
 
 
 def cmd_count(args) -> _Reply:
@@ -119,23 +126,23 @@ def cmd_count(args) -> _Reply:
         value = brute_force_count(inst, **budget)
     else:
         value = convolution_count(inst, **budget)
-    result = {"count": str(value)}
-    header = params | {"engine": args.engine}
-    return params, result, lambda: [_pairs(header), f"count = {result['count']}"]
+    return params, {"count": value}, lambda p, r: [
+        _pairs(p | {"engine": args.engine}), f"count = {r['count']}"
+    ]
 
 
 def cmd_ramanujan(args) -> _Reply:
     params = {"r": args.r, "s": args.s, "m": args.m}
-    result = {"value": str(cohen_ramanujan(args.r, args.s, args.m))}
-    return params, result, lambda: ["c_{{{r},{s}}}({m}) = {value}".format(**params, **result)]
+    result = {"value": cohen_ramanujan(args.r, args.s, args.m)}
+    return params, result, lambda p, r: ["c_{{{r},{s}}}({m}) = {value}".format(**p, **r)]
 
 
 def cmd_ggcd(args) -> _Reply:
     base = generalized_gcd(args.a, args.b, args.s)
     params = {"a": args.a, "b": args.b, "s": args.s}
-    result = {"value": str(base**args.s), "base": str(base), "power": args.s}
-    return params, result, lambda: [
-        "({a}, {b})_{s} = {value}".format(**params, **result), f"base l = {result['base']}"
+    result = {"value": base**args.s, "base": base, "power": args.s}
+    return params, result, lambda p, r: [
+        "({a}, {b})_{s} = {value}".format(**p, **r), f"base l = {r['base']}"
     ]
 
 
@@ -144,32 +151,34 @@ def cmd_classes(args) -> _Reply:
     budget = _budget(args)
     rows = []
     for d in divisors(args.n):
-        row: dict = {"d": d, "size": str(jordan_totient(args.n // d, args.s))}
+        row: dict = {"d": d, "size": jordan_totient(args.n // d, args.s)}
         if args.elements:
             row["members"] = class_members(args.n, args.s, d, **budget)
         rows.append(row)
-    modulus = args.n**args.s
-    params = {"n": args.n, "s": args.s, "modulus": modulus, "elements": bool(args.elements)}
-    result = {"rows": rows, "total": str(modulus)}
-    header = {"n": args.n, "s": args.s, "modulus": result["total"]}
-    return params, result, lambda: [
-        _pairs(header), *map(_pairs, rows), f"total = {result['total']}"
+    params = {"n": args.n, "s": args.s, "elements": bool(args.elements)}
+    result = {"rows": rows, "total": args.n**args.s}
+    return params, result, lambda p, r: [
+        _pairs({"n": p["n"], "s": p["s"], "modulus": r["total"]}), *map(_pairs, r["rows"]),
+        f"total = {r['total']}",
     ]
 
 
 def cmd_solve(args) -> _Reply:
     inst, params = _instance(args)
     budget = _budget(args)
-    solutions = enumerate_solutions(inst, args.limit, **budget)
     try:
         count = count_restricted(inst)
-    except DomainError:  # n past FACTORIZE_LIMIT: only the walk answers
-        count = brute_force_count(inst, **budget)
-    result = {"solutions": solutions, "count": str(count)}
-    return params | {"limit": args.limit}, result, lambda: [
-        _pairs(params),
-        *(",".join(map(str, sol)) if sol else "()" for sol in solutions),
-        f"count = {result['count']}",
+    except DomainError:  # n past FACTORIZE_LIMIT: the walk lists, then counts
+        count = None
+    # List at most the count, walking nothing for none; the listing refuses --limit < 1.
+    limit = args.limit if count is None else min(args.limit, count)
+    solutions = [] if count == 0 < args.limit else enumerate_solutions(inst, limit, **budget)
+    count = brute_force_count(inst, **budget) if count is None else count
+    result = {"solutions": solutions, "count": count}
+    return params | {"limit": args.limit}, result, lambda p, r: [
+        _pairs({key: p[key] for key in params}),
+        *(",".join(sol) if sol else "()" for sol in r["solutions"]),
+        f"count = {r['count']}",
     ]
 
 
@@ -178,11 +187,11 @@ def cmd_verify(args) -> _Reply:
     cfg = SweepConfig(args.max_n, s_values, args.max_k, args.seed, **_budget(args, "cap"))
     sweep = engine_sweep(cfg)
     params = cfg._asdict()
-    params["s"] = list(params.pop("s_values"))
+    params["s"] = params.pop("s_values")
     report = sweep._asdict()
     result = {"ok": sweep.ok, "instances_checked": report.pop("checked"),
               "instance_space": report.pop("space"), **report}
-    return params, result, lambda: _verify_text(result)
+    return params, result, lambda p, r: _verify_text(r)
 
 
 def _verify_text(r: dict) -> list[str]:
@@ -194,7 +203,7 @@ def _verify_text(r: dict) -> list[str]:
         f"(space {r['instance_space']}, {mode}), {len(r['mismatches'])} mismatches",
         f"identity suites: {r['identity_checks']} checks, {len(r['identity_failures'])} failures",
         f"engine time: {times}",
-        *([f"engine refusals: {refused}"] if any(r["refused"].values()) else []),
+        *([f"engine refusals: {refused}"] if any(n != "0" for n in r["refused"].values()) else []),
         *(f"MISMATCH {_pairs(miss)}" for miss in r["mismatches"][:10]),
         *(f"FAILURE {failure}" for failure in r["identity_failures"][:10]),
     ]
@@ -278,6 +287,8 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         t0 = time.perf_counter()
         params, result, text = args.handler(args)
+        # str through a bounded cache, so a listing's repeated entries share one string each.
+        params, result = _decimal([params, result], functools.lru_cache(4096)(str))
         record = {
             "command": args.subcommand,
             "params": params,
@@ -285,7 +296,8 @@ def main(argv: list[str] | None = None) -> int:
             "result": result,
             "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
         }
-        print(json.dumps(record, sort_keys=True) if args.format == "json" else "\n".join(text()))
+        lines = [json.dumps(record, sort_keys=True)] if args.format == "json" else text(params, result)
+        print("\n".join(lines))
         # Only verify reports "ok"; false there is a verification mismatch.
         return 0 if result.get("ok", True) else 2
     except _UsageError as exc:

@@ -184,7 +184,7 @@ def engine_sweep(cfg: SweepConfig) -> SweepReport:
             start = stop
         if len(set(counts.values())) > 1:
             record = {"n": inst.n, "s": inst.s, "b": inst.b, "t": list(inst.restrictions)}
-            mismatches.append(record | {key: str(c) for key, c in counts.items()})
+            mismatches.append(record | counts)
     return SweepReport(
         space, len(positions), subsampled, mismatches, identity_checks, identity_failures,
         {key: ns / 1e6 for key, ns in engine_ns.items()}, refused,

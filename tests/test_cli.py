@@ -62,7 +62,7 @@ class TestCount:
         assert rec == {
             "command": "count",
             "engine": "formula",
-            "params": {"b": 5, "modulus": 16, "n": 4, "s": 2, "t": [1, 2]},
+            "params": {"b": "5", "modulus": "16", "n": "4", "s": "2", "t": ["1", "2"]},
             "result": {"count": "3"},
         }
 
@@ -77,7 +77,7 @@ class TestCount:
         )
         rec_t, rec_g = json.loads(out_t), json.loads(out_g)
         assert rec_t["result"] == rec_g["result"]
-        assert rec_t["params"]["t"] == rec_g["params"]["t"] == [1, 2]
+        assert rec_t["params"]["t"] == rec_g["params"]["t"] == ["1", "2"]
 
     def test_empty_restrictions(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--n", "4", "--s", "2", "--b", "16")
@@ -391,7 +391,7 @@ class TestSolve:
             "--format", "json",
         )
         rec = json.loads(out)
-        assert rec["result"]["solutions"] == [[1, 2], [2, 1]]
+        assert rec["result"]["solutions"] == [["1", "2"], ["2", "1"]]
         assert rec["result"]["count"] == "2"
 
     def test_limit_one_still_counts_all(self, capsys):
@@ -401,11 +401,14 @@ class TestSolve:
         assert code == 0
         assert out.splitlines()[1:] == ["1,4", "count = 3"]
 
-    def test_limit_zero_exits_one(self, capsys):
-        code, out, err = run_cli(
-            capsys, "solve", "--n", "4", "--s", "2", "--b", "5", "--t", "1,2", "--limit", "0"
-        )
+    @pytest.mark.parametrize("t", ["1,2", "2,2"], ids=["count_3", "count_0"])
+    def test_limit_zero_exits_one(self, capsys, t):
+        # A count of 0 lists nothing, yet --limit 0 is still refused, after a negative --budget.
+        argv = ["solve", "--n", "4", "--s", "2", "--b", "5", "--t", t, "--limit", "0"]
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", "error: limit must be >= 1, got 0\n")
+        code, out, err = run_cli(capsys, *argv, "--budget", "-1")
+        assert (code, out, err) == (1, "", "usage error: --budget must be >= 0, got -1\n")
 
     def test_huge_negative_limit_is_shown_by_its_size(self, capsys):
         argv = ["solve", "--n", "4", "--s", "2", "--b", "5", "--t", "1,2"]
@@ -457,22 +460,40 @@ class TestSolve:
         assert out.splitlines()[1:] == ["1,1,5039", "1,11,5029", "count = 696384"]
 
     def test_listing_past_the_budget_exits_one(self, capsys):
-        # 9 tuples, none a solution: a budget of 5 leaves 4 unwalked.
-        argv = ["solve", "--n", "4", "--s", "2", "--b", "1", "--t", "2,2", "--budget"]
+        # 9 tuples in C(2) x C(2) of 16; the two solutions are the sixth and
+        # the eighth.  A budget of 5 stops before the first; with 8 the listing
+        # stops at the count, short of the ninth tuple.
+        argv = ["solve", "--n", "4", "--s", "2", "--b", "4", "--t", "2,2", "--budget"]
         code, out, err = run_cli(capsys, *argv, "5")
         assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
         # Convolution cannot list solutions, so the message names the budget, not an engine.
         assert "walked 5 tuples" in err and "convolution_count" not in err
-        code, out, err = run_cli(capsys, *argv, "9")
-        assert (code, err) == (0, "") and out.splitlines()[1:] == ["count = 0"]
+        code, out, err = run_cli(capsys, *argv, "8")
+        assert (code, err) == (0, "") and out.splitlines()[1:] == ["8,12", "12,8", "count = 2"]
 
-    def test_long_listing_without_solutions_is_refused_fast(self, capsys):
-        # 1000 units of 5040 are odd, so their sum is even: 10**7 tuples walk by without a hit.
-        g = ",".join(["1000"] + ["0"] * 59)
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # 1000 units of 5040 are odd, so their sum is even.
+            ["--n", "5040", "--s", "1", "--b", "1", "--g", ",".join(["1000"] + ["0"] * 59)],
+            # 30 units of 4 likewise; the listing walked 10**7 tuples in
+            # blocks of two before it refused.
+            ["--n", "4", "--s", "1", "--b", "1", "--g", "30,0,0"],
+            # Nothing in C(2) x C(2) of 16 sums to 1: a budget of 5 walked 5 and refused.
+            ["--n", "4", "--s", "2", "--b", "1", "--t", "2,2", "--budget", "5"],
+        ],
+        ids=["5040", "4", "budget"],
+    )
+    def test_no_solution_walks_nothing(self, capsys, flags, monkeypatch):
+        # The closed form's count comes first; a count of 0 lists nothing.
+        def no_listing(*args, **kwargs):
+            raise AssertionError("listed although the count is 0")
+
+        monkeypatch.setattr(cli, "enumerate_solutions", no_listing)
         t0 = time.perf_counter()
-        code, out, err = run_cli(capsys, "solve", "--n", "5040", "--s", "1", "--b", "1", "--g", g)
+        code, out, err = run_cli(capsys, "solve", *flags)
         assert time.perf_counter() - t0 < 1.0
-        assert (code, out) == (1, "") and "walked 10000000 tuples" in err
+        assert (code, err) == (0, "") and out.splitlines()[1:] == ["count = 0"]
 
     @pytest.mark.parametrize(
         "flags, line",
@@ -494,7 +515,7 @@ class TestSolve:
             code, out, _ = run_cli(capsys, "solve", *argv, "--limit", "1", "--format", "json")
             result = json.loads(out)["result"]
             assert code == 0 and result["count"] == str(oracle.brute_force_count(inst))
-            first = [list(sol) for sol in oracle.enumerate_solutions(inst, 1)]
+            first = [list(map(str, sol)) for sol in oracle.enumerate_solutions(inst, 1)]
             assert result["solutions"] == first, inst
 
 
@@ -531,6 +552,8 @@ class TestVerify:
         renamed = {"checked": "instances_checked", "space": "instance_space"}
         expected = {renamed.get(key, key): value for key, value in sweep._asdict().items()}
         expected["ok"] = sweep.ok
+        # Every integer of the report reads as its decimal string.
+        expected = json.loads(json.dumps(expected), parse_int=str)
         assert set(result) == set(expected) == {
             "ok", "instances_checked", "instance_space", "subsampled", "mismatches",
             "identity_checks", "identity_failures", "engine_ms", "refused",
@@ -607,7 +630,7 @@ class TestVerify:
         argv = ("verify", "--max-n", "2", "--s", "1", "--max-k", "2")
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
-        assert json.loads(out)["result"]["refused"] == dict.fromkeys(verification._ENGINES, 0)
+        assert json.loads(out)["result"]["refused"] == dict.fromkeys(verification._ENGINES, "0")
         real = oracle.brute_force_count
 
         def refusing(inst):
@@ -626,7 +649,7 @@ class TestVerify:
         assert code == 0
         result = json.loads(out)["result"]
         assert result["ok"] is True
-        assert result["refused"] == {"formula": 0, "brute_force": 9, "convolution": 0}
+        assert result["refused"] == {"formula": "0", "brute_force": "9", "convolution": "0"}
 
     def test_an_instance_past_the_brute_force_budget_is_refused(self, capsys):
         # One sampled instance holds 6**9 tuples, past brute force's default
@@ -635,16 +658,16 @@ class TestVerify:
         code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert (code, err) == (0, "")
         result = json.loads(out)["result"]
-        assert result["ok"] is True and result["instances_checked"] == 40
-        assert result["refused"] == {"formula": 0, "brute_force": 1, "convolution": 0}
+        assert result["ok"] is True and result["instances_checked"] == "40"
+        assert result["refused"] == {"formula": "0", "brute_force": "1", "convolution": "0"}
 
     def test_zero_budget_checks_no_instances(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--budget", "0", "--format", "json")
         assert code == 0
         rec = json.loads(out)
-        assert rec["params"]["cap"] == 0
-        assert rec["result"]["instances_checked"] == 0
-        assert rec["result"]["identity_checks"] == 0
+        assert rec["params"]["cap"] == "0"
+        assert rec["result"]["instances_checked"] == "0"
+        assert rec["result"]["identity_checks"] == "0"
         assert rec["result"]["engine_ms"] == {"formula": 0, "brute_force": 0, "convolution": 0}
         code, out, _ = run_cli(capsys, "verify", "--budget", "0")
         assert code == 0
@@ -852,14 +875,36 @@ def test_integer_flags_take_any_number_of_digits(capsys, argv, line):
         code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert (code, err) == (0, "")
         assert sys.get_int_max_str_digits() == 640
-        # params holds the flags as plain JSON integers.
-        sys.set_int_max_str_digits(0)
+        # params holds the flags as decimal strings, read back under the 640-digit cap.
         record = json.loads(out)
-        assert int(SEVENS) in record["params"].values()
+        assert SEVENS in record["params"].values()
         value = record["result"].get("count", record["result"].get("value"))
         assert line.endswith(f" = {value}")
     finally:
         sys.set_int_max_str_digits(caller_cap)
+
+
+@pytest.mark.parametrize(
+    "argv, section, key, expected",
+    [
+        (["ggcd", "--a", SEVENS, "--b", "6", "--s", "1"], "params", "a", SEVENS),
+        (["solve", "--n", "10", "--s", "5000", "--b", "0", "--t", "10"], "result", "solutions",
+         [["1" + "0" * 5000]]),
+    ],
+    ids=["ggcd_flag", "solve_solution"],
+)
+def test_json_record_reads_back_under_the_default_digit_cap(capsys, argv, section, key, expected):
+    # A 5000-digit flag and a 5001-digit solution were JSON integers no
+    # default reader could take.
+    caller_cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(caller_cap)
+    assert record[section][key] == expected
 
 
 def _subparsers(parser):
@@ -960,14 +1005,27 @@ def cli_argvs(draw):
     return argv
 
 
+def _ints(value) -> list[int]:
+    """Every int (not bool) anywhere in a parsed JSON value."""
+    if isinstance(value, dict):
+        return [i for item in value.values() for i in _ints(item)]
+    if isinstance(value, list):
+        return [i for item in value for i in _ints(item)]
+    return [value] if type(value) is int else []
+
+
 @given(cli_argvs())
 @settings(max_examples=300, deadline=None)
 def test_any_argv_exits_cleanly(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    for tail in ([], ["--format", "json"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + tail)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+    # The json run's record holds each integer as a decimal string.
+    if code != 1:
+        assert _ints(json.loads(out.getvalue())) == []
 
 
 def test_module_entry_point_subprocess():

@@ -6,6 +6,7 @@ import tracemalloc
 
 import rescong
 from rescong import verification
+from rescong.cli import main
 from rescong.arith import divisors
 from rescong.congruence import (
     CongruenceInstance,
@@ -103,3 +104,21 @@ def test_block_table_of_the_largest_grid_is_small():
         tracemalloc.stop()
     assert len(ends) == MAX_BLOCKS
     assert after - before < 4_000_000
+
+
+def test_repeated_entries_of_a_listing_share_their_strings(capsys):
+    # 100 solutions of 2000 units mod 3: 200,000 entries, each 1 or 2.  A
+    # string apiece would take about 50 bytes an entry, 10 MB on its own.
+    argv = ["solve", "--n", "3", "--s", "1", "--b", "0", "--g", "2000,0", "--limit", "100",
+            "--format", "json"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(capsys.readouterr().out) > 1_000_000
+    assert peak < 8_000_000

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,6 +198,14 @@ class TestEnumerateSolutions:
         with pytest.raises(BudgetExceededError, match="walked 5 tuples"):
             enumerate_solutions(inst, 1, budget=5)
         assert enumerate_solutions(inst, 1, budget=9) == []
+
+    def test_long_walk_without_solutions_is_refused_fast(self):
+        # 1000 units of 5040 are odd, so their sum is even: 10**7 tuples walk by without a hit.
+        inst = CongruenceInstance(5040, 1, 1, (1,) * 1000)
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="walked 10000000 tuples"):
+            enumerate_solutions(inst, 1)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_budget_bounds_the_class_scans(self):
         inst = CongruenceInstance(5040, 1, 4, (1, 2, 1))  # scans 5040 + 2520 slots
