@@ -13,11 +13,12 @@ import itertools
 import math
 from bisect import bisect_left
 from collections import Counter
+from functools import lru_cache
 from operator import index
 
 from .arith import jordan_totient
 from .congruence import CongruenceInstance, class_members
-from .errors import BudgetExceededError, ConsistencyError, DomainError, show_instance, show_int
+from .errors import BudgetExceededError, ConsistencyError, DomainError, show_int
 
 DEFAULT_TUPLE_BUDGET = 10**7
 # Cap on n**s, the modulus that convolution scans slot by slot.
@@ -60,16 +61,37 @@ def convolution_count(instance: CongruenceInstance, budget: int = DEFAULT_VECTOR
     a count costs O(sum of 1 + log2(g) over the distinct t) products
     of (m * w)-byte ints, Karatsuba in CPython.  `budget` caps n**s,
     which bounds the packed ints and every class enumerated.
+
+    The distribution holds the count of every b, and the count reads
+    slot b.  The last distribution built is kept, so the next b of the
+    same (n, s, restrictions) reads it without a convolution, as
+    `engine_sweep` walks b innermost; it is kept only when its bytes,
+    sized by the bound m**k on the mass, are at most _MEMO_BYTES.
     """
     m, budget = instance.modulus, index(budget)
     if m > budget:
         raise BudgetExceededError(
             f"modulus {show_int(m)} exceeds the vector budget {show_int(budget)}"
         )
-    classes = [
-        (class_members(instance.n, instance.s, t, budget), g)
-        for t, g in Counter(instance.restrictions).items()
-    ]
+    n, s, ts = instance.n, instance.s, instance.restrictions
+    kept = m * (len(ts) * m.bit_length() // 8 + 1) <= _MEMO_BYTES
+    width, raw = (_distribution if kept else _distribution.__wrapped__)(n, s, ts)
+    lo = instance.b * width
+    return int.from_bytes(raw[lo : lo + width], "little")
+
+
+# A kept distribution holds at most 64 KB; on the max_n = 8, s <= 2,
+# max_k = 3 sweep grid the largest, n = 8, s = 2, k = 3, holds 192 bytes.
+_MEMO_BYTES = 2**16
+
+
+@lru_cache(maxsize=1, typed=True)
+def _distribution(n: int, s: int, restrictions: tuple[int, ...]) -> tuple[int, bytes]:
+    # The slot width and the little-endian slots of the count of every b.
+    # The caller has checked m <= budget, and no class scan (n/t)**s
+    # exceeds m, so the budget plays no part here.
+    m = n**s
+    classes = [(class_members(n, s, t, m), g) for t, g in Counter(restrictions).items()]
     mass = math.prod(len(members) ** g for members, g in classes)
     width = mass.bit_length() // 8 + 1
     bits = 8 * width * m
@@ -96,10 +118,9 @@ def convolution_count(instance: CongruenceInstance, budget: int = DEFAULT_VECTOR
     if total != mass:
         raise ConsistencyError(
             f"convolution mass {show_int(total)} != expected {show_int(mass)} "
-            f"of {show_instance(instance)}"
+            f"of n={show_int(n)} s={show_int(s)} k={len(restrictions)}"
         )
-    lo = instance.b * width
-    return int.from_bytes(raw[lo : lo + width], "little")
+    return width, raw
 
 
 def enumerate_solutions(

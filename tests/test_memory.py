@@ -7,6 +7,7 @@ import tracemalloc
 import rescong
 from rescong import verification
 from rescong.cli import main
+from rescong.oracle import convolution_count
 from rescong.arith import divisors
 from rescong.congruence import (
     CongruenceInstance,
@@ -58,6 +59,22 @@ def test_large_class_is_not_kept_after_return():
     finally:
         tracemalloc.stop()
     assert after - before < 1_000_000
+
+
+def test_large_distribution_is_not_kept_after_return():
+    # Its 99,856 slots of 4 bytes, 399,424 bytes, are past the 64 KB the
+    # convolution memo keeps; kept, they would show here as about 400 KB.
+    inst = CongruenceInstance(316, 2, 5, (1, 2))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert convolution_count(inst) > 0
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 100_000
 
 
 def test_small_classes_hit_the_memo():

@@ -118,9 +118,31 @@ class TestConvolution:
             members = real(n, s, t, budget)
             return members + members[:1]
 
+        oracle._distribution.cache_clear()  # a memo hit would list no class
         monkeypatch.setattr(oracle, "class_members", doubled_first)
         with pytest.raises(ConsistencyError, match="convolution mass"):
             convolution_count(WORKED)
+
+    def test_memo_follows_the_group(self):
+        # A, then B, then A again at another b: each read is of its own group.
+        a1 = CongruenceInstance(4, 2, 5, (1, 2))
+        b = CongruenceInstance(6, 1, 3, (1, 2, 3))
+        a2 = a1._replace(b=6)
+        for inst in (a1, b, a2):
+            assert convolution_count(inst) == brute_force_count(inst), inst
+
+    def test_budget_is_checked_before_the_memo(self):
+        inst = CongruenceInstance(4, 2, 5, (1, 2))
+        assert convolution_count(inst) == 3
+        with pytest.raises(BudgetExceededError):
+            convolution_count(inst, budget=10)
+
+    def test_next_b_of_a_group_hits_the_memo(self):
+        oracle._distribution.cache_clear()
+        for b in (5, 8):
+            inst = CongruenceInstance(4, 2, b, (1, 2))
+            assert convolution_count(inst) == brute_force_count(inst)
+        assert oracle._distribution.cache_info().hits == 1
 
     def test_total_mass_is_product_of_class_sizes(self):
         # summing the count over every target b recovers the tuple space size
