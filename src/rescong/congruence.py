@@ -16,7 +16,7 @@ evaluated here entirely in exact integers.  n is factored once, and
 every c_{r,s} in the sum is a product, over p**e || n, of Cohen's
 prime-power sums (`rescong.ramanujan._prime_power_sum`), each a
 function of x = p**s, its order and one level.  Only the box of divisors
-whose term is nonzero is summed; `_local_factors` states its rule.  In
+whose term is nonzero is summed; `_Group` states its rule.  In
 the worked example n = 4, s = 2, b = 5, t = (1, 2), b is odd, so
 cap_2 = 1 and d = 4 is the one term dropped: c_{4,2}(5) == 0.  The
 pre-division sum is provably a multiple of n**s; `count_restricted`
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import Counter, namedtuple
 from functools import lru_cache
 from operator import getitem, index, mul
@@ -140,68 +141,104 @@ def class_members(n: int, s: int, d: int, budget: int = DEFAULT_CLASS_BUDGET) ->
     return list(build(n, s, d))
 
 
-def _local_factors(instance: CongruenceInstance):
-    """The factors of every nonzero term of the sum, read prime by prime.
+# A group entry keeps its level classes' numerators, each charged its
+# int and its key by sys.getsizeof, up to 64 KB in all.
+_MEMO_BYTES = 2**16
 
-    Returns (factors, gs), with gs the multiplicity g of each distinct
-    restriction t and one pair (outer, inners) in factors per p**e || n,
-    listed for a = v_p(d) = 0 .. cap_p: outer[a] = c_{p**a,s}(b), order a
-    at the level j of b, and, for the i-th distinct t, inners[i][a] =
-    c_{p**(e - v_p(t)),s}(p**((e - a)*s)), order e - v_p(t) at level
-    e - a.  The term of d is the product over the primes of
-    outer[a] * prod(inners[i][a] ** g_i).
+
+class _Group:
+    """The b-independent half of the sum, for one (n, s, restrictions).
+
+    primes holds one (x, cap) pair per p**e || n, with x = p**s, and
+    groups one (columns, g) pair per distinct restriction t, with g its
+    multiplicity and columns[i] its inner list at the i-th prime, listed
+    for a = v_p(d) = 0 .. cap: c_{p**(e - v_p(t)),s}(p**((e - a)*s)),
+    order e - v_p(t) at level e - a.  outers(levels) lists, per prime,
+    c_{p**a,s}(b) at the level j of b, order a.  The term of d is the
+    product over the primes of outer[a] * prod(column[a] ** g).
 
     The box rule: the sum at order a and level j is zero exactly when
     j < a - 1, so c_{d,s}(b) vanishes once v_p(d) > j + 1 and the factor
-    of t once v_p(d) > v_p(t) + 1.  With cap_p = min(e, j + 1, v_p(t) + 1
-    for every t), every term outside the box v_p(d) <= cap_p has a zero
-    factor, and no entry listed here is zero.
+    of t once v_p(d) > v_p(t) + 1.  With cap = min(e, v_p(t) + 1 for
+    every t) and the box v_p(d) <= min(cap, j + 1), every term outside
+    the box has a zero factor, and no entry listed here is zero.  Past
+    cap the level of b changes no entry read, so levels(b) caps it at
+    cap and names b's level class.  bits bounds the log2 of the count
+    by the class sizes.  numerators keeps the numerator of each level
+    class met, up to room bytes.
     """
-    counts = Counter(instance.restrictions)
-    factors = []
-    for p, e in factorize(instance.n):
-        x = p**instance.s
-        j = capped_valuation(instance.b, x, e)
-        vs = [capped_valuation(t, p, e) for t in counts]
-        levels = range(min([e, j + 1] + [v + 1 for v in vs]) + 1)
-        outer = [_prime_power_sum(x, a, j) for a in levels]
-        inners = {v: [_prime_power_sum(x, e - v, e - a) for a in levels] for v in set(vs)}
-        factors.append((outer, [inners[v] for v in vs]))
-    return factors, list(counts.values())
+
+    __slots__ = ("primes", "groups", "bits", "numerators", "room")
+
+    def __init__(self, n: int, s: int, restrictions: tuple[int, ...]):
+        counts = Counter(restrictions)
+        self.primes, columns = [], []
+        for p, e in factorize(n):
+            x = p**s
+            # t | n, so gcd(t, p**e) is p**v_p(t).
+            exponent = {p**v: v for v in range(e + 1)}
+            vs = [exponent[math.gcd(t, p**e)] for t in counts]
+            cap = min([e] + [v + 1 for v in vs])
+            inners = {v: [_prime_power_sum(x, e - v, e - a) for a in range(cap + 1)] for v in set(vs)}
+            self.primes.append((x, cap))
+            columns.append([inners[v] for v in vs])
+        # n = 1 has no primes and so no pairs: its one term is the empty product 1.
+        self.groups = list(zip(zip(*columns), counts.values()))
+        # The last unknown is fixed by the others, so the count is at most
+        # prod J_s(n/t_i) over all unknowns but one; J_s(p**c) = c_{p**c,s}(0)
+        # is a column's entry at a = 0.
+        log_sizes = [math.log2(math.prod([column[0] for column in cols])) for cols, _ in self.groups]
+        self.bits = sum(map(mul, log_sizes, counts.values())) - max(log_sizes, default=0)
+        self.numerators, self.room = {}, _MEMO_BYTES
+
+    def levels(self, b: int) -> tuple[int, ...]:
+        return tuple([capped_valuation(b, x, cap) for x, cap in self.primes])
+
+    def outers(self, levels: tuple[int, ...]) -> list[list[int]]:
+        return [
+            [_prime_power_sum(x, a, j) for a in range(min(cap, j + 1) + 1)]
+            for (x, cap), j in zip(self.primes, levels)
+        ]
+
+
+# One entry: `engine_sweep` walks b innermost, so every later b of an
+# (n, s, restrictions) group reads the first one's tables.
+_group = lru_cache(maxsize=1, typed=True)(_Group)
 
 
 def fourier_numerator(instance: CongruenceInstance) -> int:
     """Pre-division sum of the counting formula; always a multiple of n**s.
 
-    n is factored once, and every term is a product of one entry per
-    prime of Cohen's prime-power sums.  Only the box of divisors whose
-    term has no zero factor is visited (`_local_factors`), so the sum is
-    exact and no term is tested for zero.  Before the sum, a count whose
-    bound from the class sizes has more than MAX_COUNT_BITS bits is
-    refused with DomainError, whether or not the count itself is small.
+    n is factored once per (n, s, restrictions) group, and every term is
+    a product of one entry per prime of Cohen's prime-power sums.  Only
+    the box of divisors whose term has no zero factor is visited
+    (`_Group`), so the sum is exact and no term is tested for zero.  On
+    every call, a count whose bound from the class sizes has more than
+    MAX_COUNT_BITS bits is refused with DomainError, whether or not the
+    count itself is small.  b enters only through its level class: the
+    last group's tables are kept, with the numerator of each class met
+    while they fit in _MEMO_BYTES, so the next b of a class sums nothing.
     """
-    factors, gs = _local_factors(instance)
-    outers = [outer for outer, _ in factors]
-    # One (columns, g) pair per distinct restriction t: its inner list at
-    # each prime and the number g of unknowns pinned to it.  n = 1 has no
-    # primes and so no pairs: its one term is the empty product 1.
-    groups = list(zip(zip(*(inners for _, inners in factors)), gs))
-    # The last unknown is fixed by the others, so the count is at most
-    # prod J_s(n/t_i) over all unknowns but one; J_s(p**c) = c_{p**c,s}(0)
-    # is a column's entry at a = 0.
-    log_sizes = [math.log2(math.prod([column[0] for column in columns])) for columns, _ in groups]
-    bits = sum(map(mul, log_sizes, gs)) - max(log_sizes, default=0)
-    if bits > MAX_COUNT_BITS:
+    group = _group(instance.n, instance.s, instance.restrictions)
+    if group.bits > MAX_COUNT_BITS:
         raise DomainError(
-            f"the count's bound from the class sizes has 2**{int(bits).bit_length() - 1} bits "
+            f"the count's bound from the class sizes has 2**{int(group.bits).bit_length() - 1} bits "
             f"or more, past the limit of {MAX_COUNT_BITS} bits on a count"
         )
+    levels = group.levels(instance.b)
+    total = group.numerators.get(levels)
+    if total is not None:
+        return total
+    outers = group.outers(levels)
     total = 0
     for d_exps in itertools.product(*(range(len(outer)) for outer in outers)):
         term = math.prod(map(getitem, outers, d_exps))
-        for columns, g in groups:
+        for columns, g in group.groups:
             term *= math.prod(map(getitem, columns, d_exps)) ** g
         total += term
+    size = sys.getsizeof(total) + sys.getsizeof(levels)
+    if size <= group.room:
+        group.numerators[levels], group.room = total, group.room - size
     return total
 
 

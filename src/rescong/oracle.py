@@ -32,10 +32,28 @@ def brute_force_count(instance: CongruenceInstance, budget: int = DEFAULT_TUPLE_
     checked against `budget` before any class is enumerated; the check
     stops at the first partial product past it, the empty product 1
     included.  Each class is then enumerated under the same budget.
+    The check and the class lists are kept for the last (n, s,
+    restrictions, budget), so the next b of that group only walks its
+    tuples, as `engine_sweep` walks b innermost; the lists are kept only
+    when they hold at most _MEMO_MEMBERS members in all.
     """
-    n, s, budget = instance.n, instance.s, index(budget)
+    pools, members = _pools(instance.n, instance.s, instance.restrictions, index(budget))
+    if members > _MEMO_MEMBERS:
+        _pools.cache_clear()
+    modulus, target = instance.modulus, instance.b
+    return sum(1 for combo in itertools.product(*pools) if sum(combo) % modulus == target)
+
+
+# Kept class lists hold at most 2**16 members; on the max_n = 8, s <= 2,
+# max_k = 3 sweep grid the most, n = 8, s = 2, t = (1, 2, 4), hold 63.
+_MEMO_MEMBERS = 2**16
+
+
+@lru_cache(maxsize=1, typed=True)
+def _pools(n: int, s: int, restrictions: tuple[int, ...], budget: int) -> tuple[list, int]:
+    # The class list of each unknown, and the members of its distinct classes.
     total_tuples = 1
-    for t in instance.restrictions:
+    for t in restrictions:
         if total_tuples > budget:
             break
         total_tuples *= jordan_totient(n // t, s)
@@ -44,9 +62,8 @@ def brute_force_count(instance: CongruenceInstance, budget: int = DEFAULT_TUPLE_
             f"the tuple space holds at least {show_int(total_tuples)} tuples, past the "
             f"enumeration budget {show_int(budget)}; use convolution_count instead"
         )
-    member_lists = [class_members(n, s, t, budget) for t in instance.restrictions]
-    modulus, target = instance.modulus, instance.b
-    return sum(1 for combo in itertools.product(*member_lists) if sum(combo) % modulus == target)
+    classes = {t: class_members(n, s, t, budget) for t in restrictions}
+    return [classes[t] for t in restrictions], sum(map(len, classes.values()))
 
 
 def convolution_count(instance: CongruenceInstance, budget: int = DEFAULT_VECTOR_BUDGET) -> int:

@@ -48,6 +48,7 @@ class TestIsPrime:
             1373653,  # to bases 2 and 3
             25326001,  # to bases 2, 3 and 5
             3215031751,  # to bases 2, 3, 5 and 7
+            2152302898747,  # to bases 2, 3, 5, 7 and 11: only base 13 decides it
             561,  # Carmichael numbers
             41041,
             825265,
@@ -278,6 +279,12 @@ class TestCheckPower:
                 check_power(base, exp, "x**y")
         else:
             check_power(base, exp, "x**y")
+
+    def test_bound_is_two_to_the_twentieth_bits(self):
+        # By value, not through the constant: 2**1048575 has 2**20 bits, one more is refused.
+        check_power(2, 1048575, "n**s")
+        with pytest.raises(DomainError, match=r"past the bound of 1048576 bits on a power$"):
+            check_power(2, 1048576, "n**s")
 
     @pytest.mark.parametrize("base", [0, 1])
     def test_bases_zero_and_one_are_unbounded(self, base):

@@ -14,7 +14,6 @@ from rescong.arith import check_power, divisors, factorize, generalized_gcd, jor
 from rescong.congruence import (
     ClassProfile,
     CongruenceInstance,
-    _local_factors,
     class_members,
     class_profile,
     count_restricted,
@@ -411,10 +410,25 @@ def warm_instances(n, s, strata):
             yield CongruenceInstance(n, s, b, ts)
 
 
+def local_factors(instance):
+    """(factors, gs): per prime, (outer, inners) over b's box, as fourier_numerator reads them.
+
+    inners lists each distinct t's column, cut to the box, in the order
+    of gs, the multiplicity of each distinct t.
+    """
+    group = congruence._group(instance.n, instance.s, instance.restrictions)
+    outers = group.outers(group.levels(instance.b))
+    factors = [
+        (outer, [columns[i][: len(outer)] for columns, _ in group.groups])
+        for i, outer in enumerate(outers)
+    ]
+    return factors, [g for _, g in group.groups]
+
+
 def assert_box_holds_the_nonzero_terms(instance):
     """A divisor's literal term is nonzero exactly when it lies in the box,
     and each factor is the Ramanujan sum its docstring names."""
-    factors, _ = _local_factors(instance)
+    factors, _ = local_factors(instance)
     primes = factorize(instance.n)
     caps = [len(outer) - 1 for outer, _ in factors]
     assert all(0 <= cap <= e for (_, e), cap in zip(primes, caps))
@@ -439,7 +453,7 @@ def assert_local_sums_give_the_count(instance):
     multiple of p**(e*s); the sums multiply to the global numerator and
     the quotients to the count.
     """
-    factors, gs = _local_factors(instance)
+    factors, gs = local_factors(instance)
     numerator = count = 1
     for (p, e), (outer, inners) in zip(factorize(instance.n), factors):
         local = sum(
@@ -480,7 +494,7 @@ class TestTermBox:
 
     def test_worked_example_box(self):
         # b = 5 is odd, so cap_2 = 1 at n = 4 = 2**2: d = 4 is the one term dropped.
-        factors, gs = _local_factors(WORKED)
+        factors, gs = local_factors(WORKED)
         assert factors == [([1, -1], [[12, -4], [3, 3]])]  # inner lists for t = 1, 2
         assert gs == [1, 1]
         [(outer, inners)] = factors
@@ -741,6 +755,76 @@ class TestCountBound:
                         with pytest.raises(DomainError):
                             count_restricted(inst)
                         monkeypatch.undo()
+
+
+def memo_answers(inst):
+    """The numerator, the count and brute force's count (None if refused) of one instance."""
+    try:
+        brute = brute_force_count(inst, budget=256)
+    except BudgetExceededError:
+        brute = None
+    return fourier_numerator(inst), count_restricted(inst), brute
+
+
+class TestGroupMemos:
+    """The one-group memos of the closed form and of brute force change no answer."""
+
+    GROUPS = [
+        (n, s, ts)
+        for n in range(1, 13)
+        for s in (1, 2)
+        for k in range(4)
+        for ts in itertools.product(divisors(n), repeat=k)
+    ]
+
+    def test_b_innermost_and_outermost_agree(self):
+        # b innermost: each group's later b read its tables and level
+        # classes.  b outermost: no two calls in a row share a group, so
+        # every numerator is summed anew.
+        congruence._group.cache_clear()
+        inner = {}
+        for n, s, ts in self.GROUPS:
+            for b in range(n**s):
+                inner[n, s, b, ts] = memo_answers(CongruenceInstance(n, s, b, ts))
+        assert congruence._group.cache_info().misses == len(self.GROUPS)
+        congruence._group.cache_clear()
+        outer = {}
+        for b in range(12**2):
+            for n, s, ts in self.GROUPS:
+                if b < n**s:
+                    outer[n, s, b, ts] = memo_answers(CongruenceInstance(n, s, b, ts))
+        assert congruence._group.cache_info().misses == len(outer)
+        assert len(inner) == 67_392 and outer == inner
+        answered = [(count, brute) for _, count, brute in inner.values() if brute is not None]
+        assert 30_000 < len(answered) < 40_000
+        assert all(count == brute for count, brute in answered)
+
+    def test_hit_runs_the_invariant(self, monkeypatch):
+        stats = dict(congruence.DIVISIBILITY_STATS)
+        monkeypatch.setattr(congruence, "DIVISIBILITY_STATS", stats)
+        assert count_restricted(CongruenceInstance(12, 2, 5, (1, 2))) == 21
+        checked = stats["checked"]
+        # 7 is a unit too: the same level class, so its numerator is read.
+        group = congruence._group(12, 2, (1, 2))
+        assert group.levels(7) == group.levels(5) in group.numerators
+        assert count_restricted(CongruenceInstance(12, 2, 7, (1, 2))) == 21
+        assert stats == {"checked": checked + 1, "failed": 0}
+
+    def test_hit_honours_the_count_bound(self, monkeypatch):
+        assert count_restricted(CongruenceInstance(12, 2, 5, (1, 1, 1))) == 6384
+        group = congruence._group(12, 2, (1, 1, 1))
+        assert group.levels(7) in group.numerators
+        monkeypatch.setattr(congruence, "MAX_COUNT_BITS", math.log2(6384) - 1e-9)
+        with pytest.raises(DomainError, match="past the limit"):
+            count_restricted(CongruenceInstance(12, 2, 7, (1, 1, 1)))
+
+    def test_hit_honours_a_smaller_budget(self):
+        # J_2(12)**2 = 96**2 = 9216 tuples: the lists kept for a budget of
+        # 10,000 do not answer a budget of 9215.
+        inst = CongruenceInstance(12, 2, 5, (1, 1))
+        assert brute_force_count(inst, budget=10_000) == count_restricted(inst)
+        with pytest.raises(BudgetExceededError, match="at least 9216 tuples"):
+            brute_force_count(inst._replace(b=7), budget=9215)
 
 
 class TestLehmer:

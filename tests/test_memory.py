@@ -2,12 +2,13 @@ import gc
 import importlib
 import pkgutil
 import random
+import sys
 import tracemalloc
 
 import rescong
-from rescong import verification
+from rescong import congruence, verification
 from rescong.cli import main
-from rescong.oracle import convolution_count
+from rescong.oracle import brute_force_count, convolution_count
 from rescong.arith import divisors
 from rescong.congruence import (
     CongruenceInstance,
@@ -75,6 +76,35 @@ def test_large_distribution_is_not_kept_after_return():
     finally:
         tracemalloc.stop()
     assert after - before < 100_000
+
+
+def test_large_brute_force_class_is_not_kept_after_return():
+    # C(1) mod 999983 holds 999,982 members, past the 2**16 brute force keeps.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert brute_force_count(CongruenceInstance(999983, 1, 1, (1,))) == 1
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 1_000_000
+
+
+def test_group_numerators_stay_within_their_bytes():
+    # 12,000 units mod 210: the 16 level classes of b hold numerators of
+    # about 4.5 KB each, 73 KB in all, past the 64 KB a group entry keeps.
+    ts = (1,) * 12_000
+    sizes = {}
+    for b in range(210):
+        numerator = fourier_numerator(CongruenceInstance(210, 1, b, ts))
+        group = congruence._group(210, 1, ts)
+        levels = group.levels(b)
+        sizes[levels] = sys.getsizeof(numerator) + sys.getsizeof(levels)
+    assert len(sizes) == 16 and sum(sizes.values()) > 2**16
+    kept = sum(sizes[levels] for levels in group.numerators)
+    assert 2**15 < kept == 2**16 - group.room <= 2**16
 
 
 def test_small_classes_hit_the_memo():
